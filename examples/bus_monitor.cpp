@@ -5,10 +5,19 @@
  * One of the parallel contention arbiter's selling points (Section 1)
  * is that its state is visible on the bus and can be monitored for
  * initialization and failure diagnosis. This example attaches a
- * TextTracer to a small bus and prints an annotated timeline of the
- * first couple of round-robin cycles, including the fairness-release
- * cycle of the Futurebus protocol and the wrap cycle of RR
- * implementation 3 for comparison.
+ * TracePrinter to a small bus and prints a timeline of the first
+ * couple of round-robin cycles, including the fairness-release cycle
+ * of the Futurebus protocol and the wrap cycle of RR implementation 3
+ * for comparison. Each line is one bus event in the format shared with
+ * flight-recorder dumps, time in transaction units first:
+ *
+ *   [     0.622] request agent=3 seq=1
+ *   [     0.622] pass_start
+ *   [     1.122] pass_resolve winner=3 seq=1 pass_units=0.500
+ *   [     1.122] tenure_start agent=3 seq=1
+ *   [     1.356] request agent=2 seq=2
+ *
+ * An empty pass (fairness release or wrap) resolves as `retry`.
  *
  * Usage: bus_monitor [protocol-key]   (default rr3)
  */
@@ -39,8 +48,8 @@ main(int argc, char **argv)
 
     EventQueue queue;
     Bus bus(queue, protocolByKey(key)(), n, {});
-    TextTracer tracer(std::cout, /*max_events=*/60);
-    bus.setTracer(&tracer);
+    TracePrinter printer(std::cout, /*max_events=*/60);
+    bus.addTraceSink(&printer);
 
     std::vector<std::unique_ptr<ClosedAgent>> agents;
     Rng base(7);

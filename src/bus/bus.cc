@@ -29,6 +29,13 @@ Bus::Bus(EventQueue &queue, std::unique_ptr<ArbitrationProtocol> protocol,
     protocol_->reset(num_agents);
 }
 
+void
+Bus::emit(const TraceEvent &event)
+{
+    for (TraceSink *sink : sinks_)
+        sink->consume(event);
+}
+
 Request
 Bus::postRequest(AgentId agent, bool priority)
 {
@@ -40,8 +47,8 @@ Bus::postRequest(AgentId agent, bool priority)
     req.priority = priority;
     req.seq = ++seq_;
     protocol_->requestPosted(req);
-    if (tracer_ != nullptr)
-        tracer_->onRequestPosted(req);
+    if (!sinks_.empty())
+        emit(requestEvent(req));
     maybeStartPass();
     return req;
 }
@@ -75,8 +82,8 @@ Bus::startPassNow()
     passStart_ = queue_.now();
     ++passes_;
     protocol_->beginPass(queue_.now());
-    if (tracer_ != nullptr)
-        tracer_->onPassStarted(queue_.now());
+    if (!sinks_.empty())
+        emit(passStartEvent(queue_.now()));
     Tick duration = arbTicks_;
     if (settleTiming_) {
         if (worstCaseSettle_) {
@@ -104,9 +111,9 @@ Bus::passCompleted()
     BUSARB_ASSERT(passInProgress_, "pass completion without a pass");
     passInProgress_ = false;
     const PassResult result = protocol_->completePass(queue_.now());
-    if (tracer_ != nullptr) {
-        tracer_->onPassResolved(queue_.now(), passStart_, result.winner,
-                                result.kind == PassResult::Kind::kRetry);
+    if (!sinks_.empty()) {
+        emit(passResolveEvent(queue_.now(), passStart_, result.winner,
+                              result.kind == PassResult::Kind::kRetry));
     }
     switch (result.kind) {
       case PassResult::Kind::kWinner:
@@ -140,8 +147,8 @@ Bus::startTenure(const Request &req)
     busy_ = true;
     current_ = req;
     protocol_->tenureStarted(req, queue_.now());
-    if (tracer_ != nullptr)
-        tracer_->onTenureStarted(req, queue_.now());
+    if (!sinks_.empty())
+        emit(tenureStartEvent(req, queue_.now()));
     if (observer_ != nullptr)
         observer_->onServiceStart(req, queue_.now());
     busyTicks_ += serviceTicks_;
@@ -162,8 +169,8 @@ Bus::transactionCompleted()
     const Request finished = current_;
     current_ = Request{};
     protocol_->tenureEnded(finished, queue_.now());
-    if (tracer_ != nullptr)
-        tracer_->onTenureEnded(finished, queue_.now());
+    if (!sinks_.empty())
+        emit(tenureEndEvent(finished, queue_.now()));
     if (observer_ != nullptr)
         observer_->onServiceEnd(finished, queue_.now());
     if (winnerDecided_) {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "bus/protocol.hh"
 #include "bus/request.hh"
@@ -110,8 +111,17 @@ class Bus
     /** Register the observer notified of service starts/ends. */
     void setObserver(BusObserver *observer) { observer_ = observer; }
 
-    /** Attach a tracer receiving every bus-level event (may be null). */
-    void setTracer(BusTracer *tracer) { tracer_ = tracer; }
+    /**
+     * Attach a sink receiving every bus-level event (not owned; null is
+     * ignored). Sinks see each event in attachment order. With no sink
+     * attached the bus builds no events at all.
+     */
+    void
+    addTraceSink(TraceSink *sink)
+    {
+        if (sink != nullptr)
+            sinks_.push_back(sink);
+    }
 
     /**
      * An agent issues a request (asserts the request line).
@@ -161,7 +171,7 @@ class Bus
     EventQueue &queue_;
     std::unique_ptr<ArbitrationProtocol> protocol_;
     BusObserver *observer_ = nullptr;
-    BusTracer *tracer_ = nullptr;
+    std::vector<TraceSink *> sinks_;
     int numAgents_;
     Tick serviceTicks_;
     Tick arbTicks_;
@@ -185,6 +195,9 @@ class Bus
     std::uint64_t retryPasses_ = 0;
     Tick busyTicks_ = 0;
     Tick exposedArbTicks_ = 0;
+
+    /** Hand `event` to every attached sink. */
+    void emit(const TraceEvent &event);
 
     /** Schedule a pass start if one is due and none is outstanding. */
     void maybeStartPass();

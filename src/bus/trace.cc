@@ -5,89 +5,76 @@
 
 namespace busarb {
 
-TextTracer::TextTracer(std::ostream &os, std::uint64_t max_events)
+const char *
+traceEventKindName(TraceEventKind kind)
+{
+    switch (kind) {
+      case TraceEventKind::kRequestPosted:
+        return "request";
+      case TraceEventKind::kPassStarted:
+        return "pass_start";
+      case TraceEventKind::kPassResolved:
+        return "pass_resolve";
+      case TraceEventKind::kTenureStarted:
+        return "tenure_start";
+      case TraceEventKind::kTenureEnded:
+        return "tenure_end";
+      case TraceEventKind::kCounterUpdate:
+        return "counter";
+    }
+    return "unknown";
+}
+
+void
+printTraceEvent(const TraceEvent &event, std::ostream &os)
+{
+    os << "[" << std::setw(10) << std::fixed << std::setprecision(3)
+       << ticksToUnits(event.tick) << "] "
+       << traceEventKindName(event.kind);
+    switch (event.kind) {
+      case TraceEventKind::kRequestPosted:
+        os << " agent=" << event.agent << " seq=" << event.seq;
+        if (event.priority)
+            os << " priority";
+        break;
+      case TraceEventKind::kPassStarted:
+        break;
+      case TraceEventKind::kPassResolved:
+        if (event.agent != kNoAgent) {
+            os << " winner=" << event.agent << " seq=" << event.seq;
+        } else {
+            os << (event.retry ? " retry" : " idle");
+        }
+        os << " pass_units="
+           << ticksToUnits(event.tick - event.passStart);
+        break;
+      case TraceEventKind::kTenureStarted:
+      case TraceEventKind::kTenureEnded:
+        os << " agent=" << event.agent << " seq=" << event.seq;
+        break;
+      case TraceEventKind::kCounterUpdate:
+        os << " id=" << event.counterId << " value="
+           << event.counterValue;
+        break;
+    }
+}
+
+TracePrinter::TracePrinter(std::ostream &os, std::uint64_t max_events)
     : os_(os), maxEvents_(max_events)
 {
 }
 
-bool
-TextTracer::admit()
+void
+TracePrinter::consume(const TraceEvent &event)
 {
-    if (maxEvents_ != 0 && events_ >= maxEvents_)
-        return false;
-    ++events_;
-    if (maxEvents_ != 0 && events_ == maxEvents_) {
-        os_ << "          ... (trace truncated after " << maxEvents_
+    ++seen_;
+    if (maxEvents_ == 0 || seen_ <= maxEvents_) {
+        printTraceEvent(event, os_);
+        os_ << "\n";
+    } else if (seen_ == maxEvents_ + 1) {
+        os_ << "... (trace truncated after " << maxEvents_
             << " events)\n";
-        return false;
     }
-    return true;
-}
-
-void
-TextTracer::stamp(Tick now)
-{
-    os_ << "[" << std::setw(9) << std::fixed << std::setprecision(3)
-        << ticksToUnits(now) << "] ";
-}
-
-void
-TextTracer::onRequestPosted(const Request &req)
-{
-    if (!admit())
-        return;
-    stamp(req.issued);
-    os_ << "agent " << std::setw(2) << req.agent << " asserts request"
-        << (req.priority ? " (priority)" : "") << "\n";
-}
-
-void
-TextTracer::onPassStarted(Tick now)
-{
-    if (!admit())
-        return;
-    stamp(now);
-    os_ << "arbitration pass starts\n";
-}
-
-void
-TextTracer::onPassResolved(Tick now, Tick pass_start,
-                           const Request &winner, bool retry)
-{
-    (void)pass_start;
-    if (!admit())
-        return;
-    stamp(now);
-    if (winner.valid()) {
-        os_ << "arbitration resolves: agent " << winner.agent
-            << " wins\n";
-    } else if (retry) {
-        os_ << "arbitration resolves empty (release/wrap cycle)\n";
-    } else {
-        os_ << "arbitration resolves with no competitors\n";
-    }
-}
-
-void
-TextTracer::onTenureStarted(const Request &req, Tick now)
-{
-    if (!admit())
-        return;
-    stamp(now);
-    os_ << "agent " << std::setw(2) << req.agent
-        << " becomes bus master (waited "
-        << std::setprecision(3) << ticksToUnits(now - req.issued)
-        << ")\n";
-}
-
-void
-TextTracer::onTenureEnded(const Request &req, Tick now)
-{
-    if (!admit())
-        return;
-    stamp(now);
-    os_ << "agent " << std::setw(2) << req.agent
-        << " releases the bus\n";
 }
 
 } // namespace busarb

@@ -12,7 +12,6 @@
 #include "obs/binary_trace.hh"
 #include "obs/export_format.hh"
 #include "obs/fairness_auditor.hh"
-#include "obs/fanout.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/run_health.hh"
 #include "random/rng.hh"
@@ -166,23 +165,23 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
     const std::string protocol_name = protocol->name();
     Bus bus(queue, std::move(protocol), config.numAgents, config.bus);
 
-    // Observability sinks share the bus's single tracer slot through a
-    // fanout. Each run owns its writer/recorder, so captures are
-    // hermetic (JobPool-safe and byte-identical at any --jobs count).
-    FanoutTracer fanout;
+    // Observability sinks ride the bus event stream in a fixed order:
+    // trace writer, flight recorder, fairness auditor, then the caller's
+    // sink. Each run owns its writer/recorder, so captures are hermetic
+    // (JobPool-safe and byte-identical at any --jobs count).
     std::unique_ptr<BinaryTraceWriter> trace_writer;
     std::unique_ptr<FlightRecorder> recorder;
     std::unique_ptr<ScopedFlightRecorderDump> panic_dump;
     if (config.captureBinaryTrace) {
         trace_writer = std::make_unique<BinaryTraceWriter>(
             config.numAgents, protocol_name);
-        fanout.add(trace_writer.get());
+        bus.addTraceSink(trace_writer.get());
     }
     if (config.flightRecorderEvents > 0) {
         recorder =
             std::make_unique<FlightRecorder>(config.flightRecorderEvents);
         panic_dump = std::make_unique<ScopedFlightRecorderDump>(*recorder);
-        fanout.add(recorder.get());
+        bus.addTraceSink(recorder.get());
     }
     std::unique_ptr<FairnessAuditor> auditor;
     if (config.auditFairness || config.snapshotEveryUnits > 0.0) {
@@ -193,13 +192,9 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
         fc.snapshotEveryTicks = unitsToTicks(config.snapshotEveryUnits);
         fc.label = protocol_name;
         auditor = std::make_unique<FairnessAuditor>(fc);
-        fanout.add(auditor.get());
+        bus.addTraceSink(auditor.get());
     }
-    fanout.add(config.tracer);
-    if (fanout.size() == 1 && config.tracer != nullptr)
-        bus.setTracer(config.tracer);
-    else if (fanout.size() > 0)
-        bus.setTracer(&fanout);
+    bus.addTraceSink(config.tracer);
 
     MetricsCollector collector(config.numAgents, config.histBinWidth,
                                config.histBins);

@@ -75,63 +75,47 @@ BinaryTraceWriter::BinaryTraceWriter(int num_agents,
 }
 
 void
-BinaryTraceWriter::beginRecord(TraceEventKind kind, Tick now)
+BinaryTraceWriter::consume(const TraceEvent &event)
 {
     BUSARB_ASSERT(!finished_, "write into a finished trace");
-    BUSARB_ASSERT(now >= lastTick_, "trace event goes backwards in time");
-    buffer_.push_back(static_cast<std::uint8_t>(kind));
-    appendVarint(buffer_, static_cast<std::uint64_t>(now - lastTick_));
-    lastTick_ = now;
+    BUSARB_ASSERT(event.tick >= lastTick_,
+                  "trace event goes backwards in time");
+    buffer_.push_back(static_cast<std::uint8_t>(event.kind));
+    appendVarint(buffer_, static_cast<std::uint64_t>(event.tick - lastTick_));
+    lastTick_ = event.tick;
     ++events_;
-}
-
-void
-BinaryTraceWriter::onRequestPosted(const Request &req)
-{
-    beginRecord(TraceEventKind::kRequestPosted, req.issued);
-    appendVarint(buffer_, static_cast<std::uint64_t>(req.agent));
-    appendVarint(buffer_, req.seq);
-    buffer_.push_back(req.priority ? 1 : 0);
-}
-
-void
-BinaryTraceWriter::onPassStarted(Tick now)
-{
-    beginRecord(TraceEventKind::kPassStarted, now);
-}
-
-void
-BinaryTraceWriter::onPassResolved(Tick now, Tick pass_start,
-                                  const Request &winner, bool retry)
-{
-    beginRecord(TraceEventKind::kPassResolved, now);
-    appendVarint(buffer_, static_cast<std::uint64_t>(now - pass_start));
-    std::uint8_t flags = 0;
-    if (winner.valid())
-        flags = 1;
-    else if (retry)
-        flags = 2;
-    buffer_.push_back(flags);
-    if (winner.valid()) {
-        appendVarint(buffer_, static_cast<std::uint64_t>(winner.agent));
-        appendVarint(buffer_, winner.seq);
+    // Field order mirrors the decoder in readTraceChunks.
+    switch (event.kind) {
+      case TraceEventKind::kRequestPosted:
+        appendVarint(buffer_, static_cast<std::uint64_t>(event.agent));
+        appendVarint(buffer_, event.seq);
+        buffer_.push_back(event.priority ? 1 : 0);
+        break;
+      case TraceEventKind::kPassStarted:
+        break;
+      case TraceEventKind::kPassResolved: {
+        appendVarint(buffer_,
+                     static_cast<std::uint64_t>(event.tick - event.passStart));
+        const bool has_winner = event.agent != kNoAgent;
+        buffer_.push_back(has_winner ? 1 : (event.retry ? 2 : 0));
+        if (has_winner) {
+            appendVarint(buffer_, static_cast<std::uint64_t>(event.agent));
+            appendVarint(buffer_, event.seq);
+        }
+        break;
+      }
+      case TraceEventKind::kTenureStarted:
+      case TraceEventKind::kTenureEnded:
+        appendVarint(buffer_, static_cast<std::uint64_t>(event.agent));
+        appendVarint(buffer_, event.seq);
+        break;
+      case TraceEventKind::kCounterUpdate:
+        BUSARB_ASSERT(event.counterId < nextCounterId_, "counter id ",
+                      event.counterId, " was never defined");
+        appendVarint(buffer_, event.counterId);
+        appendVarint(buffer_, event.counterValue);
+        break;
     }
-}
-
-void
-BinaryTraceWriter::onTenureStarted(const Request &req, Tick now)
-{
-    beginRecord(TraceEventKind::kTenureStarted, now);
-    appendVarint(buffer_, static_cast<std::uint64_t>(req.agent));
-    appendVarint(buffer_, req.seq);
-}
-
-void
-BinaryTraceWriter::onTenureEnded(const Request &req, Tick now)
-{
-    beginRecord(TraceEventKind::kTenureEnded, now);
-    appendVarint(buffer_, static_cast<std::uint64_t>(req.agent));
-    appendVarint(buffer_, req.seq);
 }
 
 std::uint64_t
@@ -150,11 +134,12 @@ void
 BinaryTraceWriter::counterUpdate(std::uint64_t id, Tick now,
                                  std::uint64_t value)
 {
-    BUSARB_ASSERT(id < nextCounterId_, "counter id ", id,
-                  " was never defined");
-    beginRecord(TraceEventKind::kCounterUpdate, now);
-    appendVarint(buffer_, id);
-    appendVarint(buffer_, value);
+    TraceEvent ev;
+    ev.kind = TraceEventKind::kCounterUpdate;
+    ev.tick = now;
+    ev.counterId = id;
+    ev.counterValue = value;
+    consume(ev);
 }
 
 std::vector<std::uint8_t>

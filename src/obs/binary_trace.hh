@@ -18,7 +18,7 @@
  * refer to names via an id assigned by an in-stream name-definition
  * record, so the stream needs no out-of-band schema.
  *
- * The writer is a BusTracer: attach it to a Bus (or let the scenario
+ * The writer is a TraceSink: attach it to a Bus (or let the scenario
  * runner do it via ScenarioConfig::captureBinaryTrace) and every bus
  * event is appended to an in-memory buffer. Because each scenario owns
  * its writer, capture is JobPool-safe and the bytes are identical at
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "bus/trace.hh"
-#include "obs/trace_event.hh"
 
 namespace busarb {
 
@@ -54,7 +53,7 @@ bool decodeVarint(const std::uint8_t **cursor, const std::uint8_t *end,
 /**
  * Serializes bus events into one binary trace chunk.
  */
-class BinaryTraceWriter : public BusTracer
+class BinaryTraceWriter final : public TraceSink
 {
   public:
     /**
@@ -63,12 +62,11 @@ class BinaryTraceWriter : public BusTracer
      */
     BinaryTraceWriter(int num_agents, const std::string &protocol);
 
-    void onRequestPosted(const Request &req) override;
-    void onPassStarted(Tick now) override;
-    void onPassResolved(Tick now, Tick pass_start, const Request &winner,
-                        bool retry) override;
-    void onTenureStarted(const Request &req, Tick now) override;
-    void onTenureEnded(const Request &req, Tick now) override;
+    /**
+     * Append one record. A kCounterUpdate must name an id returned by
+     * defineCounter.
+     */
+    void consume(const TraceEvent &event) override;
 
     /**
      * Define a named counter; subsequent counterUpdate calls refer to
@@ -99,9 +97,6 @@ class BinaryTraceWriter : public BusTracer
     std::uint64_t events_ = 0;
     std::uint64_t nextCounterId_ = 0;
     bool finished_ = false;
-
-    /** Append the tag byte and the tick delta for an event at `now`. */
-    void beginRecord(TraceEventKind kind, Tick now);
 };
 
 /** One decoded trace chunk (a full scenario run). */

@@ -40,56 +40,6 @@ FairnessAuditor::FairnessAuditor(const FairnessAuditorConfig &config)
 }
 
 void
-FairnessAuditor::onRequestPosted(const Request &req)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kRequestPosted;
-    ev.tick = req.issued;
-    ev.agent = req.agent;
-    ev.seq = req.seq;
-    ev.priority = req.priority;
-    consume(ev);
-}
-
-void
-FairnessAuditor::onPassResolved(Tick now, Tick pass_start,
-                                const Request &winner, bool retry)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kPassResolved;
-    ev.tick = now;
-    ev.passStart = pass_start;
-    ev.retry = retry;
-    if (winner.valid()) {
-        ev.agent = winner.agent;
-        ev.seq = winner.seq;
-    }
-    consume(ev);
-}
-
-void
-FairnessAuditor::onTenureStarted(const Request &req, Tick now)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kTenureStarted;
-    ev.tick = now;
-    ev.agent = req.agent;
-    ev.seq = req.seq;
-    consume(ev);
-}
-
-void
-FairnessAuditor::onTenureEnded(const Request &req, Tick now)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kTenureEnded;
-    ev.tick = now;
-    ev.agent = req.agent;
-    ev.seq = req.seq;
-    consume(ev);
-}
-
-void
 FairnessAuditor::consume(const TraceEvent &event)
 {
     BUSARB_ASSERT(!finished_, "event consumed after finish()");

@@ -11,9 +11,9 @@
  * waits out the whole batch). This auditor turns those qualitative
  * claims into continuously checked, exported quantities.
  *
- * It is a BusTracer, so it can audit a run live through the obs fanout,
- * and it also consumes decoded TraceEvents, so `busarb_trace audit` can
- * replay an existing --trace-out file through the identical code path.
+ * It is a TraceSink: it audits a run live on the bus event stream, and
+ * `busarb_trace audit` replays the decoded events of an existing
+ * --trace-out file through the identical entry point.
  * Per agent it tracks:
  *
  *  - bypass counts between request post and grant, flagging any grant
@@ -44,7 +44,6 @@
 
 #include "bus/trace.hh"
 #include "obs/metrics_registry.hh"
-#include "obs/trace_event.hh"
 #include "stats/fairness.hh"
 
 namespace busarb {
@@ -80,24 +79,17 @@ struct FairnessAuditorConfig
 /**
  * Streaming consumer of bus events computing fairness measures.
  *
- * Feed it live as a BusTracer or offline via consume(); call finish()
- * exactly once when the stream ends, then read the results.
+ * Feed it events through consume(), live or from a decoded trace; call
+ * finish() exactly once when the stream ends, then read the results.
  */
-class FairnessAuditor : public BusTracer
+class FairnessAuditor final : public TraceSink
 {
   public:
     /** @param config Auditor configuration; numAgents must be >= 1. */
     explicit FairnessAuditor(const FairnessAuditorConfig &config);
 
-    // Live capture: each callback forwards to consume().
-    void onRequestPosted(const Request &req) override;
-    void onPassResolved(Tick now, Tick pass_start, const Request &winner,
-                        bool retry) override;
-    void onTenureStarted(const Request &req, Tick now) override;
-    void onTenureEnded(const Request &req, Tick now) override;
-
-    /** Consume one decoded event (offline replay path). */
-    void consume(const TraceEvent &event);
+    /** Consume one bus event. */
+    void consume(const TraceEvent &event) override;
 
     /**
      * End the stream: account still-pending requests into the

@@ -15,7 +15,7 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 }
 
 void
-FlightRecorder::record(const TraceEvent &event)
+FlightRecorder::consume(const TraceEvent &event)
 {
     if (ring_.size() < capacity_) {
         ring_.push_back(event);
@@ -24,65 +24,6 @@ FlightRecorder::record(const TraceEvent &event)
     }
     next_ = (next_ + 1) % capacity_;
     ++total_;
-}
-
-void
-FlightRecorder::onRequestPosted(const Request &req)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kRequestPosted;
-    ev.tick = req.issued;
-    ev.agent = req.agent;
-    ev.seq = req.seq;
-    ev.priority = req.priority;
-    record(ev);
-}
-
-void
-FlightRecorder::onPassStarted(Tick now)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kPassStarted;
-    ev.tick = now;
-    record(ev);
-}
-
-void
-FlightRecorder::onPassResolved(Tick now, Tick pass_start,
-                               const Request &winner, bool retry)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kPassResolved;
-    ev.tick = now;
-    ev.passStart = pass_start;
-    ev.retry = retry;
-    if (winner.valid()) {
-        ev.agent = winner.agent;
-        ev.seq = winner.seq;
-    }
-    record(ev);
-}
-
-void
-FlightRecorder::onTenureStarted(const Request &req, Tick now)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kTenureStarted;
-    ev.tick = now;
-    ev.agent = req.agent;
-    ev.seq = req.seq;
-    record(ev);
-}
-
-void
-FlightRecorder::onTenureEnded(const Request &req, Tick now)
-{
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kTenureEnded;
-    ev.tick = now;
-    ev.agent = req.agent;
-    ev.seq = req.seq;
-    record(ev);
 }
 
 std::size_t

@@ -2,7 +2,7 @@
  * @file
  * Bounded flight-recorder tracing.
  *
- * A FlightRecorder is a BusTracer that retains only the last M events
+ * A FlightRecorder is a TraceSink that retains only the last M events
  * in a fixed-size ring, so it can run for the whole length of a
  * production-scale simulation at O(M) memory. Its purpose is post-hoc
  * diagnosis: when something goes wrong (most importantly, when a
@@ -20,14 +20,13 @@
 #include <vector>
 
 #include "bus/trace.hh"
-#include "obs/trace_event.hh"
 
 namespace busarb {
 
 /**
- * Ring-buffer tracer retaining the last M bus events.
+ * Ring-buffer sink retaining the last M bus events.
  */
-class FlightRecorder : public BusTracer
+class FlightRecorder final : public TraceSink
 {
   public:
     /**
@@ -35,15 +34,8 @@ class FlightRecorder : public BusTracer
      */
     explicit FlightRecorder(std::size_t capacity);
 
-    void onRequestPosted(const Request &req) override;
-    void onPassStarted(Tick now) override;
-    void onPassResolved(Tick now, Tick pass_start, const Request &winner,
-                        bool retry) override;
-    void onTenureStarted(const Request &req, Tick now) override;
-    void onTenureEnded(const Request &req, Tick now) override;
-
-    /** Record an already-built event (for non-bus sources). */
-    void record(const TraceEvent &event);
+    /** Retain `event`, evicting the oldest once the ring is full. */
+    void consume(const TraceEvent &event) override;
 
     /** @return Events currently retained (<= capacity). */
     std::size_t size() const;

@@ -70,10 +70,11 @@ struct ScenarioConfig
     std::size_t histBins = 1200;
 
     /**
-     * Optional bus tracer attached for the run (not owned; must outlive
-     * the runScenario call). Useful for short diagnostic runs.
+     * Optional sink attached to the bus event stream for the run, after
+     * the built-in observers (not owned; must outlive the runScenario
+     * call). Useful for short diagnostic runs.
      */
-    BusTracer *tracer = nullptr;
+    TraceSink *tracer = nullptr;
 
     /**
      * Capture the whole run as a compact binary event trace

@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the bus tracing facility.
+ * Tests for the bus event stream and the timeline printer.
  */
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -17,8 +19,8 @@
 namespace busarb {
 namespace {
 
-/** Tracer counting each event kind. */
-struct CountingTracer : BusTracer
+/** Sink counting each event kind. */
+struct CountingSink : TraceSink
 {
     int posted = 0;
     int passStarts = 0;
@@ -27,106 +29,155 @@ struct CountingTracer : BusTracer
     int tenureStarts = 0;
     int tenureEnds = 0;
 
-    void onRequestPosted(const Request &) override { ++posted; }
-    void onPassStarted(Tick) override { ++passStarts; }
-
     void
-    onPassResolved(Tick now, Tick pass_start, const Request &winner,
-                   bool retry) override
+    consume(const TraceEvent &ev) override
     {
-        EXPECT_LE(pass_start, now);
-        if (winner.valid())
-            ++winners;
-        if (retry)
-            ++retries;
+        switch (ev.kind) {
+          case TraceEventKind::kRequestPosted:
+            ++posted;
+            break;
+          case TraceEventKind::kPassStarted:
+            ++passStarts;
+            break;
+          case TraceEventKind::kPassResolved:
+            EXPECT_LE(ev.passStart, ev.tick);
+            if (ev.agent != kNoAgent)
+                ++winners;
+            if (ev.retry)
+                ++retries;
+            break;
+          case TraceEventKind::kTenureStarted:
+            ++tenureStarts;
+            break;
+          case TraceEventKind::kTenureEnded:
+            ++tenureEnds;
+            break;
+          case TraceEventKind::kCounterUpdate:
+            ADD_FAILURE() << "the bus emits no counter updates";
+            break;
+        }
     }
-
-    void onTenureStarted(const Request &, Tick) override
-    {
-        ++tenureStarts;
-    }
-
-    void onTenureEnded(const Request &, Tick) override { ++tenureEnds; }
 };
 
 TEST(TraceTest, EventsBalance)
 {
     EventQueue queue;
     Bus bus(queue, std::make_unique<FixedPriorityProtocol>(), 4, {});
-    CountingTracer tracer;
-    bus.setTracer(&tracer);
+    CountingSink sink;
+    bus.addTraceSink(&sink);
     queue.schedule(0, [&] {
         bus.postRequest(1);
         bus.postRequest(2);
     });
     queue.schedule(3 * kTicksPerUnit, [&] { bus.postRequest(3); });
     queue.run();
-    EXPECT_EQ(tracer.posted, 3);
-    EXPECT_EQ(tracer.winners, 3);
-    EXPECT_EQ(tracer.tenureStarts, 3);
-    EXPECT_EQ(tracer.tenureEnds, 3);
-    EXPECT_EQ(tracer.passStarts, tracer.winners + tracer.retries);
-    EXPECT_EQ(tracer.retries, 0);
+    EXPECT_EQ(sink.posted, 3);
+    EXPECT_EQ(sink.winners, 3);
+    EXPECT_EQ(sink.tenureStarts, 3);
+    EXPECT_EQ(sink.tenureEnds, 3);
+    EXPECT_EQ(sink.passStarts, sink.winners + sink.retries);
+    EXPECT_EQ(sink.retries, 0);
 }
 
 TEST(TraceTest, RetriesAreVisible)
 {
     EventQueue queue;
     Bus bus(queue, std::make_unique<FuturebusAapProtocol>(), 4, {});
-    CountingTracer tracer;
-    bus.setTracer(&tracer);
+    CountingSink sink;
+    bus.addTraceSink(&sink);
     queue.schedule(0, [&] { bus.postRequest(1); });
     queue.schedule(2 * kTicksPerUnit, [&] { bus.postRequest(1); });
     queue.run();
-    EXPECT_EQ(tracer.retries, 1); // the fairness release
-    EXPECT_EQ(tracer.winners, 2);
+    EXPECT_EQ(sink.retries, 1); // the fairness release
+    EXPECT_EQ(sink.winners, 2);
 }
 
-TEST(TextTracerTest, ProducesReadableTimeline)
+TEST(TraceTest, EverySinkSeesEveryEvent)
 {
     EventQueue queue;
     Bus bus(queue, std::make_unique<FixedPriorityProtocol>(), 4, {});
-    std::ostringstream os;
-    TextTracer tracer(os);
-    bus.setTracer(&tracer);
+    CountingSink first;
+    CountingSink second;
+    bus.addTraceSink(&first);
+    bus.addTraceSink(nullptr); // ignored
+    bus.addTraceSink(&second);
     queue.schedule(0, [&] { bus.postRequest(2); });
     queue.run();
-    const std::string out = os.str();
-    EXPECT_NE(out.find("agent  2 asserts request"), std::string::npos);
-    EXPECT_NE(out.find("arbitration pass starts"), std::string::npos);
-    EXPECT_NE(out.find("agent 2 wins"), std::string::npos);
-    EXPECT_NE(out.find("becomes bus master"), std::string::npos);
-    EXPECT_NE(out.find("releases the bus"), std::string::npos);
-    EXPECT_GE(tracer.events(), 5u);
+    EXPECT_EQ(first.posted, 1);
+    EXPECT_EQ(second.posted, 1);
+    EXPECT_EQ(first.tenureEnds, 1);
+    EXPECT_EQ(second.tenureEnds, 1);
 }
 
-TEST(TextTracerTest, TruncatesAtEventBudget)
+/**
+ * @return The printed timeline of a fixed-priority bus serving one
+ *         request from each of agents 1..requests.
+ */
+std::string
+printedTimeline(std::uint64_t max_events, int requests,
+                bool priority = false)
 {
     EventQueue queue;
-    Bus bus(queue, std::make_unique<FixedPriorityProtocol>(), 4, {});
+    Bus bus(queue, std::make_unique<FixedPriorityProtocol>(priority), 4,
+            {});
     std::ostringstream os;
-    TextTracer tracer(os, /*max_events=*/3);
-    bus.setTracer(&tracer);
+    TracePrinter printer(os, max_events);
+    bus.addTraceSink(&printer);
     queue.schedule(0, [&] {
-        bus.postRequest(1);
-        bus.postRequest(2);
-        bus.postRequest(3);
+        for (AgentId a = 1; a <= requests; ++a)
+            bus.postRequest(a, priority);
     });
     queue.run();
-    EXPECT_NE(os.str().find("trace truncated"), std::string::npos);
-    EXPECT_EQ(tracer.events(), 3u);
+    return os.str();
 }
 
-TEST(TextTracerTest, PriorityRequestsAreAnnotated)
+std::size_t
+lineCount(const std::string &text)
 {
-    EventQueue queue;
-    Bus bus(queue, std::make_unique<FixedPriorityProtocol>(true), 4, {});
-    std::ostringstream os;
-    TextTracer tracer(os);
-    bus.setTracer(&tracer);
-    queue.schedule(0, [&] { bus.postRequest(1, /*priority=*/true); });
-    queue.run();
-    EXPECT_NE(os.str().find("(priority)"), std::string::npos);
+    return static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n'));
+}
+
+TEST(TracePrinterTest, ProducesReadableTimeline)
+{
+    const std::string out = printedTimeline(0, 1);
+    // One request served: post, pass start, resolve, tenure start/end.
+    EXPECT_EQ(lineCount(out), 5u);
+    EXPECT_NE(out.find("request agent=1 seq=1"), std::string::npos);
+    EXPECT_NE(out.find("pass_start"), std::string::npos);
+    EXPECT_NE(out.find("pass_resolve winner=1 seq=1"), std::string::npos);
+    EXPECT_NE(out.find("tenure_start agent=1 seq=1"), std::string::npos);
+    EXPECT_NE(out.find("tenure_end agent=1 seq=1"), std::string::npos);
+    EXPECT_EQ(out.find("truncated"), std::string::npos);
+}
+
+TEST(TracePrinterTest, PrintsExactlyTheBudgetThenOneNote)
+{
+    // Three requests produce well over three events.
+    const std::string out = printedTimeline(3, 3);
+    ASSERT_EQ(lineCount(out), 4u) << out;
+    // Three event lines, then the note as the fourth and last line.
+    const std::size_t note =
+        out.find("... (trace truncated after 3 events)");
+    ASSERT_NE(note, std::string::npos) << out;
+    EXPECT_EQ(lineCount(out.substr(0, note)), 3u);
+    EXPECT_EQ(out.substr(note), "... (trace truncated after 3 events)\n");
+}
+
+TEST(TracePrinterTest, RunOfExactlyTheBudgetIsNotTruncated)
+{
+    // One served request is exactly five events.
+    const std::string out = printedTimeline(5, 1);
+    EXPECT_EQ(lineCount(out), 5u) << out;
+    EXPECT_EQ(out.find("truncated"), std::string::npos) << out;
+    EXPECT_NE(out.find("tenure_end agent=1 seq=1"), std::string::npos);
+}
+
+TEST(TracePrinterTest, PriorityRequestsAreAnnotated)
+{
+    const std::string out = printedTimeline(0, 1, /*priority=*/true);
+    EXPECT_NE(out.find("request agent=1 seq=1 priority"),
+              std::string::npos);
 }
 
 } // namespace

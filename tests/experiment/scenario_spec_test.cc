@@ -6,6 +6,7 @@
  * numbers and did-you-mean hints.
  */
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 
 #include "experiment/cli.hh"
 #include "experiment/scenario_spec.hh"
+#include "support/temp_path.hh"
 #include "workload/scenario.hh"
 
 namespace busarb {
@@ -399,7 +401,7 @@ TEST(ScenarioSpecDeathTest, OrExitDistinguishesIoFromParseErrors)
                 ::testing::ExitedWithCode(1), "prog: cannot read");
 
     const std::string path =
-        ::testing::TempDir() + "/bad_spec_test.scenario";
+        test::uniqueTempPath("bad_spec_test", ".scenario");
     {
         std::ofstream out(path);
         out << "[workload]\nagents = none\n";
@@ -407,6 +409,7 @@ TEST(ScenarioSpecDeathTest, OrExitDistinguishesIoFromParseErrors)
     EXPECT_EXIT(scenarioSpecOrExit("prog", path),
                 ::testing::ExitedWithCode(2),
                 "line 2: key 'agents' expects an integer");
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "experiment/protocols.hh"
 #include "experiment/runner.hh"
 #include "experiment/workload_registry.hh"
+#include "support/temp_path.hh"
 #include "workload/scenario.hh"
 
 namespace busarb {
@@ -59,7 +60,7 @@ class TempTraceFile
   public:
     explicit TempTraceFile(int requests)
     {
-        path_ = testing::TempDir() + "workload_registry_trace.txt";
+        path_ = test::uniqueTempPath("workload_registry_trace", ".txt");
         std::ofstream out(path_);
         double t = 0.0;
         for (int i = 0; i < requests; ++i) {

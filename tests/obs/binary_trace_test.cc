@@ -91,16 +91,18 @@ TEST(BinaryTrace, RoundTripsEveryRecordKind)
     BinaryTraceWriter writer(4, "test-protocol");
     const std::uint64_t ops = writer.defineCounter("bus.ops");
 
-    writer.onRequestPosted(makeRequest(2, 1000, 7, true));
-    writer.onPassStarted(1000);
-    writer.onPassResolved(1500, 1000, makeRequest(2, 1000, 7), false);
-    writer.onTenureStarted(makeRequest(2, 1000, 7), 1500);
+    writer.consume(requestEvent(makeRequest(2, 1000, 7, true)));
+    writer.consume(passStartEvent(1000));
+    writer.consume(
+        passResolveEvent(1500, 1000, makeRequest(2, 1000, 7), false));
+    writer.consume(tenureStartEvent(makeRequest(2, 1000, 7), 1500));
     writer.counterUpdate(ops, 2000, 42);
-    writer.onTenureEnded(makeRequest(2, 1000, 7), 2500);
-    writer.onPassStarted(2500);
-    writer.onPassResolved(3000, 2500, Request{}, true); // retry pass
-    writer.onPassStarted(3000);
-    writer.onPassResolved(3500, 3000, Request{}, false); // idle pass
+    writer.consume(tenureEndEvent(makeRequest(2, 1000, 7), 2500));
+    writer.consume(passStartEvent(2500));
+    // A retry pass, then an idle one.
+    writer.consume(passResolveEvent(3000, 2500, Request{}, true));
+    writer.consume(passStartEvent(3000));
+    writer.consume(passResolveEvent(3500, 3000, Request{}, false));
 
     const std::vector<std::uint8_t> bytes = writer.finish();
     const auto chunks = readTraceChunks(bytes);
@@ -147,12 +149,12 @@ TEST(BinaryTrace, RoundTripsEveryRecordKind)
 TEST(BinaryTrace, ConcatenatedChunksDecodeInOrder)
 {
     BinaryTraceWriter first(2, "alpha");
-    first.onPassStarted(100);
+    first.consume(passStartEvent(100));
     std::vector<std::uint8_t> bytes = first.finish();
 
     BinaryTraceWriter second(3, "beta");
-    second.onPassStarted(200);
-    second.onPassStarted(300);
+    second.consume(passStartEvent(200));
+    second.consume(passStartEvent(300));
     const std::vector<std::uint8_t> tail = second.finish();
     bytes.insert(bytes.end(), tail.begin(), tail.end());
 
@@ -179,7 +181,7 @@ TEST(BinaryTrace, EventCountExcludesDefinitions)
     BinaryTraceWriter writer(1, "p");
     writer.defineCounter("a");
     EXPECT_EQ(writer.events(), 0u);
-    writer.onPassStarted(0);
+    writer.consume(passStartEvent(0));
     EXPECT_EQ(writer.events(), 1u);
 }
 
@@ -190,7 +192,7 @@ TEST(BinaryTrace, RejectsMalformedInput)
     EXPECT_THROW(readTraceChunks(junk), std::runtime_error);
 
     BinaryTraceWriter writer(2, "p");
-    writer.onPassStarted(50);
+    writer.consume(passStartEvent(50));
     const std::vector<std::uint8_t> good = writer.finish();
 
     // Every truncation of a valid chunk must be rejected, not crash.
@@ -215,8 +217,8 @@ TEST(BinaryTrace, RejectsMalformedInput)
 TEST(BinaryTraceDeathTest, BackwardsTimePanics)
 {
     BinaryTraceWriter writer(1, "p");
-    writer.onPassStarted(1000);
-    EXPECT_DEATH(writer.onPassStarted(500), "backwards in time");
+    writer.consume(passStartEvent(1000));
+    EXPECT_DEATH(writer.consume(passStartEvent(500)), "backwards in time");
 }
 
 } // namespace

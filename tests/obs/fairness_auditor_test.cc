@@ -8,15 +8,20 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baseline/fixed_priority.hh"
+#include "bus/bus.hh"
+#include "bus/trace.hh"
 #include "experiment/protocols.hh"
 #include "experiment/runner.hh"
 #include "obs/fairness_auditor.hh"
+#include "sim/event_queue.hh"
 #include "workload/scenario.hh"
 
 namespace busarb {
@@ -41,30 +46,30 @@ smallConfig(int agents)
     return fc;
 }
 
-/** Post, grant, and serve one request through live callbacks. */
+/** Post, grant, and serve one request. */
 void
 serve(FairnessAuditor &a, AgentId agent, std::uint64_t seq, Tick posted,
       Tick pass_start, Tick granted, Tick served)
 {
-    a.onRequestPosted(makeRequest(agent, posted, seq));
-    a.onPassResolved(granted, pass_start, makeRequest(agent, posted, seq),
-                     false);
-    a.onTenureStarted(makeRequest(agent, posted, seq), granted);
-    a.onTenureEnded(makeRequest(agent, posted, seq), served);
+    a.consume(requestEvent(makeRequest(agent, posted, seq)));
+    a.consume(passResolveEvent(granted, pass_start,
+                               makeRequest(agent, posted, seq), false));
+    a.consume(tenureStartEvent(makeRequest(agent, posted, seq), granted));
+    a.consume(tenureEndEvent(makeRequest(agent, posted, seq), served));
 }
 
 TEST(FairnessAuditor, CountsBypassesOfOlderPendingRequests)
 {
     FairnessAuditor a(smallConfig(3));
-    a.onRequestPosted(makeRequest(1, 0, 1));
+    a.consume(requestEvent(makeRequest(1, 0, 1)));
     // Agents 2 and 3 are granted while agent 1 keeps waiting; both
     // passes started after agent 1 posted.
     serve(a, 2, 2, 10, 20, 30, 130);
     serve(a, 3, 3, 15, 130, 140, 240);
     // Agent 1 finally wins: bypassed twice, within the N-1 = 2 bound.
-    a.onPassResolved(250, 240, makeRequest(1, 0, 1), false);
-    a.onTenureStarted(makeRequest(1, 0, 1), 250);
-    a.onTenureEnded(makeRequest(1, 0, 1), 350);
+    a.consume(passResolveEvent(250, 240, makeRequest(1, 0, 1), false));
+    a.consume(tenureStartEvent(makeRequest(1, 0, 1), 250));
+    a.consume(tenureEndEvent(makeRequest(1, 0, 1), 350));
     a.finish(400);
 
     EXPECT_EQ(a.grants(), 3u);
@@ -80,10 +85,10 @@ TEST(FairnessAuditor, FlagsGrantsBeyondTheBound)
     FairnessAuditorConfig fc = smallConfig(3);
     fc.bypassBound = 1; // tighter than N-1, to force a violation
     FairnessAuditor a(fc);
-    a.onRequestPosted(makeRequest(1, 0, 1));
+    a.consume(requestEvent(makeRequest(1, 0, 1)));
     serve(a, 2, 2, 10, 20, 30, 130);
     serve(a, 3, 3, 15, 130, 140, 240);
-    a.onPassResolved(250, 240, makeRequest(1, 0, 1), false);
+    a.consume(passResolveEvent(250, 240, makeRequest(1, 0, 1), false));
     a.finish(300);
 
     EXPECT_EQ(a.bypassBound(), 1);
@@ -97,9 +102,9 @@ TEST(FairnessAuditor, RequestPostedDuringPassIsNotBypassed)
     // Agent 2's pass froze its competitors at t=100; agent 1 posts at
     // t=150, mid-pass. That pass could never have admitted agent 1, so
     // the grant at t=200 must not count as a bypass.
-    a.onRequestPosted(makeRequest(2, 90, 1));
-    a.onRequestPosted(makeRequest(1, 150, 2));
-    a.onPassResolved(200, 100, makeRequest(2, 90, 1), false);
+    a.consume(requestEvent(makeRequest(2, 90, 1)));
+    a.consume(requestEvent(makeRequest(1, 150, 2)));
+    a.consume(passResolveEvent(200, 100, makeRequest(2, 90, 1), false));
     a.finish(300);
     EXPECT_EQ(a.agentMaxBypasses(1), 0u);
     EXPECT_EQ(a.maxBypasses(), 0u);
@@ -108,11 +113,11 @@ TEST(FairnessAuditor, RequestPostedDuringPassIsNotBypassed)
 TEST(FairnessAuditor, CountsArrivalOrderInversions)
 {
     FairnessAuditor a(smallConfig(3));
-    a.onRequestPosted(makeRequest(1, 0, 1));
-    a.onRequestPosted(makeRequest(2, 5, 2));
-    a.onRequestPosted(makeRequest(3, 10, 3));
+    a.consume(requestEvent(makeRequest(1, 0, 1)));
+    a.consume(requestEvent(makeRequest(2, 5, 2)));
+    a.consume(requestEvent(makeRequest(3, 10, 3)));
     // Granting the newest request skips two older pending ones.
-    a.onPassResolved(100, 20, makeRequest(3, 10, 3), false);
+    a.consume(passResolveEvent(100, 20, makeRequest(3, 10, 3), false));
     a.finish(200);
     EXPECT_EQ(a.inversions(), 2u);
 }
@@ -120,9 +125,9 @@ TEST(FairnessAuditor, CountsArrivalOrderInversions)
 TEST(FairnessAuditor, EmptyAndRetryPassesAreIgnored)
 {
     FairnessAuditor a(smallConfig(2));
-    a.onRequestPosted(makeRequest(1, 0, 1));
-    a.onPassResolved(50, 40, Request{}, false); // idle pass
-    a.onPassResolved(90, 80, Request{}, true);  // retry pass
+    a.consume(requestEvent(makeRequest(1, 0, 1)));
+    a.consume(passResolveEvent(50, 40, Request{}, false)); // idle pass
+    a.consume(passResolveEvent(90, 80, Request{}, true));  // retry pass
     a.finish(100);
     EXPECT_EQ(a.grants(), 0u);
     EXPECT_EQ(a.agentMaxBypasses(1), 0u);
@@ -133,7 +138,7 @@ TEST(FairnessAuditor, StarvationWatchdogTracksUnservedRequests)
     FairnessAuditor a(smallConfig(2));
     serve(a, 2, 1, 0, 10, 20, 120);
     // Agent 1 posts at t=50 and is never served before the run ends.
-    a.onRequestPosted(makeRequest(1, 50, 2));
+    a.consume(requestEvent(makeRequest(1, 50, 2)));
     a.finish(1050);
     EXPECT_EQ(a.maxStarvationTicks(), 1000);
     EXPECT_EQ(a.agentMaxStarvationTicks(1), 1000);
@@ -154,46 +159,67 @@ TEST(FairnessAuditor, WaitAndJainAccounting)
     EXPECT_EQ(a.windows().windowsClosed(), 1u);
 }
 
+/** Keeps a copy of every bus event. */
+struct RecordingSink : TraceSink
+{
+    std::vector<TraceEvent> events;
+
+    void
+    consume(const TraceEvent &ev) override
+    {
+        events.push_back(ev);
+    }
+};
+
+/** @return `a`'s exported metrics rendered as CSV. */
+std::string
+metricsCsv(const FairnessAuditor &a)
+{
+    MetricsRegistry m;
+    a.exportMetrics(m);
+    std::ostringstream csv;
+    m.writeCsv(csv);
+    return csv.str();
+}
+
 TEST(FairnessAuditor, ConsumeMatchesLiveCallbacks)
 {
     // The offline replay path (busarb_trace audit) must agree with the
-    // live BusTracer path event for event.
-    FairnessAuditorConfig fc = smallConfig(2);
-    fc.snapshotEveryTicks = 100;
+    // auditor attached live to the bus, event for event.
+    FairnessAuditorConfig fc = smallConfig(4);
+    fc.snapshotEveryTicks = kTicksPerUnit;
     fc.label = "x";
     FairnessAuditor live(fc);
-    serve(live, 1, 1, 0, 10, 50, 250);
-    live.finish(300);
+    RecordingSink recorded;
+    EventQueue queue;
+    Bus bus(queue, std::make_unique<FixedPriorityProtocol>(), 4, {});
+    bus.addTraceSink(&live);
+    bus.addTraceSink(&recorded);
+    // Every agent posts at the start of each round; fixed priority
+    // serves them highest identity first, so agent 1 is bypassed.
+    for (Tick round = 0; round < 4; ++round) {
+        queue.schedule(round * 10 * kTicksPerUnit, [&] {
+            for (AgentId a = 1; a <= 4; ++a)
+                bus.postRequest(a);
+        });
+    }
+    queue.run();
+    live.finish(queue.now());
 
     FairnessAuditor replay(fc);
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kRequestPosted;
-    ev.tick = 0;
-    ev.agent = 1;
-    ev.seq = 1;
-    replay.consume(ev);
-    ev = TraceEvent{};
-    ev.kind = TraceEventKind::kPassResolved;
-    ev.tick = 50;
-    ev.passStart = 10;
-    ev.agent = 1;
-    ev.seq = 1;
-    replay.consume(ev);
-    ev = TraceEvent{};
-    ev.kind = TraceEventKind::kTenureStarted;
-    ev.tick = 50;
-    ev.agent = 1;
-    ev.seq = 1;
-    replay.consume(ev);
-    ev.kind = TraceEventKind::kTenureEnded;
-    ev.tick = 250;
-    replay.consume(ev);
-    replay.finish(300);
+    for (const TraceEvent &ev : recorded.events)
+        replay.consume(ev);
+    replay.finish(queue.now());
 
+    EXPECT_EQ(live.grants(), 16u);
+    EXPECT_GT(live.agentMaxBypasses(1), 0u);
     EXPECT_EQ(live.grants(), replay.grants());
-    EXPECT_EQ(live.completions(), replay.completions());
+    EXPECT_EQ(live.maxBypasses(), replay.maxBypasses());
+    EXPECT_EQ(live.inversions(), replay.inversions());
     EXPECT_EQ(live.maxStarvationTicks(), replay.maxStarvationTicks());
+    EXPECT_FALSE(live.snapshots().empty());
     EXPECT_EQ(live.snapshots(), replay.snapshots());
+    EXPECT_EQ(metricsCsv(live), metricsCsv(replay));
 }
 
 TEST(FairnessAuditor, SnapshotsAreKeyedToSimulatedTime)
@@ -202,10 +228,10 @@ TEST(FairnessAuditor, SnapshotsAreKeyedToSimulatedTime)
     fc.snapshotEveryTicks = 100;
     fc.label = "snap";
     FairnessAuditor a(fc);
-    a.onRequestPosted(makeRequest(1, 0, 1));
+    a.consume(requestEvent(makeRequest(1, 0, 1)));
     // An event at exactly tick 100 emits the t=100 boundary first, so
     // the snapshot covers only events before it.
-    a.onPassResolved(100, 10, makeRequest(1, 0, 1), false);
+    a.consume(passResolveEvent(100, 10, makeRequest(1, 0, 1), false));
     a.finish(250);
 
     const std::string &text = a.snapshots();
@@ -251,7 +277,7 @@ TEST(FairnessAuditorDeathTest, RejectsEventsAfterFinish)
 {
     FairnessAuditor a(smallConfig(2));
     a.finish(100);
-    EXPECT_DEATH(a.onRequestPosted(makeRequest(1, 200, 1)),
+    EXPECT_DEATH(a.consume(requestEvent(makeRequest(1, 200, 1))),
                  "after finish");
 }
 

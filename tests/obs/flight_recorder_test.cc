@@ -29,8 +29,8 @@ makeRequest(AgentId agent, Tick issued, std::uint64_t seq)
 TEST(FlightRecorder, RetainsAllEventsBelowCapacity)
 {
     FlightRecorder rec(8);
-    rec.onPassStarted(100);
-    rec.onPassStarted(200);
+    rec.consume(passStartEvent(100));
+    rec.consume(passStartEvent(200));
     EXPECT_EQ(rec.size(), 2u);
     EXPECT_EQ(rec.totalEvents(), 2u);
     const auto events = rec.snapshot();
@@ -43,7 +43,7 @@ TEST(FlightRecorder, EvictsOldestBeyondCapacity)
 {
     FlightRecorder rec(3);
     for (Tick t = 1; t <= 10; ++t)
-        rec.onPassStarted(t * 100);
+        rec.consume(passStartEvent(t * 100));
     EXPECT_EQ(rec.size(), 3u);
     EXPECT_EQ(rec.totalEvents(), 10u);
     const auto events = rec.snapshot();
@@ -57,8 +57,8 @@ TEST(FlightRecorder, EvictsOldestBeyondCapacity)
 TEST(FlightRecorder, CapacityOneKeepsOnlyTheLastEvent)
 {
     FlightRecorder rec(1);
-    rec.onRequestPosted(makeRequest(1, 100, 1));
-    rec.onTenureEnded(makeRequest(2, 100, 2), 900);
+    rec.consume(requestEvent(makeRequest(1, 100, 1)));
+    rec.consume(tenureEndEvent(makeRequest(2, 100, 2), 900));
     ASSERT_EQ(rec.size(), 1u);
     EXPECT_EQ(rec.snapshot()[0].kind, TraceEventKind::kTenureEnded);
     EXPECT_EQ(rec.snapshot()[0].agent, 2);
@@ -67,9 +67,9 @@ TEST(FlightRecorder, CapacityOneKeepsOnlyTheLastEvent)
 TEST(FlightRecorder, RecordsBusCallbackFields)
 {
     FlightRecorder rec(8);
-    rec.onRequestPosted(makeRequest(3, 500, 11));
-    rec.onPassResolved(1500, 1000, makeRequest(3, 500, 11), false);
-    rec.onPassResolved(2500, 2000, Request{}, true);
+    rec.consume(requestEvent(makeRequest(3, 500, 11)));
+    rec.consume(passResolveEvent(1500, 1000, makeRequest(3, 500, 11), false));
+    rec.consume(passResolveEvent(2500, 2000, Request{}, true));
     const auto events = rec.snapshot();
     ASSERT_EQ(events.size(), 3u);
     EXPECT_EQ(events[0].kind, TraceEventKind::kRequestPosted);
@@ -85,9 +85,9 @@ TEST(FlightRecorder, RecordsBusCallbackFields)
 TEST(FlightRecorder, DumpPrintsTailWithTotals)
 {
     FlightRecorder rec(2);
-    rec.onPassStarted(100);
-    rec.onPassStarted(200);
-    rec.onTenureStarted(makeRequest(4, 100, 9), 300);
+    rec.consume(passStartEvent(100));
+    rec.consume(passStartEvent(200));
+    rec.consume(tenureStartEvent(makeRequest(4, 100, 9), 300));
     std::ostringstream os;
     rec.dump(os);
     const std::string text = os.str();
@@ -110,8 +110,8 @@ TEST(FlightRecorder, DumpAfterWraparoundIsChronological)
     // ring's physical wrap point.
     FlightRecorder rec(3);
     for (std::uint64_t seq = 1; seq <= 8; ++seq)
-        rec.onRequestPosted(makeRequest(1, static_cast<Tick>(seq * 10),
-                                        seq));
+        rec.consume(requestEvent(makeRequest(1, static_cast<Tick>(seq * 10),
+                                             seq)));
     std::ostringstream os;
     rec.dump(os);
     const std::string text = os.str();
@@ -133,9 +133,9 @@ TEST(FlightRecorderDeathTest, PanicDumpTailOrderingAfterWraparound)
     // The panic-hook dump goes through the same snapshot path; verify
     // the tail it prints is in event order even after the ring wrapped.
     FlightRecorder rec(2);
-    rec.onPassStarted(100);
-    rec.onRequestPosted(makeRequest(1, 200, 1));
-    rec.onTenureStarted(makeRequest(1, 200, 1), 300);
+    rec.consume(passStartEvent(100));
+    rec.consume(requestEvent(makeRequest(1, 200, 1)));
+    rec.consume(tenureStartEvent(makeRequest(1, 200, 1), 300));
     ScopedFlightRecorderDump guard(rec);
     EXPECT_DEATH(BUSARB_ASSERT(false, "wrapped"),
                  "wrapped(.|\n)*last 2 of 3 bus events"
@@ -155,8 +155,8 @@ TEST(FlightRecorderDeathTest, PanicDumpsRecorderTail)
     // ScopedFlightRecorderDump guard is alive prints the recorder tail
     // to stderr before aborting.
     FlightRecorder rec(4);
-    rec.onRequestPosted(makeRequest(2, 1000, 5));
-    rec.onPassStarted(1000);
+    rec.consume(requestEvent(makeRequest(2, 1000, 5)));
+    rec.consume(passStartEvent(1000));
     ScopedFlightRecorderDump guard(rec);
     EXPECT_DEATH(BUSARB_ASSERT(false, "checker tripped"),
                  "checker tripped(.|\n)*flight recorder: last 2 of 2 "
@@ -166,7 +166,7 @@ TEST(FlightRecorderDeathTest, PanicDumpsRecorderTail)
 TEST(FlightRecorderDeathTest, HookUninstalledAfterGuardScope)
 {
     FlightRecorder rec(4);
-    rec.onPassStarted(100);
+    rec.consume(passStartEvent(100));
     {
         ScopedFlightRecorderDump guard(rec);
     }

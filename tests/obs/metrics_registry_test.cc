@@ -4,6 +4,7 @@
  * merges, and deterministic CSV/JSON export.
  */
 
+#include <cstdio>
 #include <fstream>
 #include <locale>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics_registry.hh"
+#include "support/temp_path.hh"
 
 namespace busarb {
 namespace {
@@ -156,9 +158,10 @@ TEST(MetricsRegistry, WriteFilePicksFormatByExtension)
     MetricsRegistry reg;
     reg.counter("x").add(1);
 
-    const std::string dir = ::testing::TempDir();
-    const std::string csv_path = dir + "/busarb_metrics_test.csv";
-    const std::string json_path = dir + "/busarb_metrics_test.json";
+    const std::string csv_path =
+        test::uniqueTempPath("busarb_metrics_test", ".csv");
+    const std::string json_path =
+        test::uniqueTempPath("busarb_metrics_test", ".json");
     ASSERT_TRUE(reg.writeFile(csv_path));
     ASSERT_TRUE(reg.writeFile(json_path));
 
@@ -173,7 +176,11 @@ TEST(MetricsRegistry, WriteFilePicksFormatByExtension)
     ASSERT_TRUE(json.get(ch));
     EXPECT_EQ(ch, '{');
 
-    EXPECT_FALSE(reg.writeFile(dir + "/no/such/dir/out.csv"));
+    std::remove(csv_path.c_str());
+    std::remove(json_path.c_str());
+
+    EXPECT_FALSE(
+        reg.writeFile(::testing::TempDir() + "no/such/dir/out.csv"));
 }
 
 TEST(MetricsRegistry, GaugeMergeSummaryFoldsPreAggregatedSamples)

@@ -44,19 +44,20 @@ buildTwoRequestChunk()
     BinaryTraceWriter writer(2, "synthetic");
     const Tick half = kTicksPerUnit / 2;
 
-    writer.onRequestPosted(makeRequest(1, 0, 1));
-    writer.onPassStarted(0);
-    writer.onRequestPosted(makeRequest(2, kTicksPerUnit / 10, 2));
-    writer.onPassResolved(half, 0, makeRequest(1, 0, 1), false);
-    writer.onTenureStarted(makeRequest(1, 0, 1), half);
-    writer.onTenureEnded(makeRequest(1, 0, 1), half + kTicksPerUnit);
+    writer.consume(requestEvent(makeRequest(1, 0, 1)));
+    writer.consume(passStartEvent(0));
+    writer.consume(requestEvent(makeRequest(2, kTicksPerUnit / 10, 2)));
+    writer.consume(passResolveEvent(half, 0, makeRequest(1, 0, 1), false));
+    writer.consume(tenureStartEvent(makeRequest(1, 0, 1), half));
+    writer.consume(tenureEndEvent(makeRequest(1, 0, 1), half + kTicksPerUnit));
     const Tick free_at = half + kTicksPerUnit; // 1.5 units
-    writer.onPassStarted(free_at);
-    writer.onPassResolved(free_at + half, free_at,
-                          makeRequest(2, kTicksPerUnit / 10, 2), false);
-    writer.onTenureStarted(makeRequest(2, 0, 2), free_at + half);
-    writer.onTenureEnded(makeRequest(2, 0, 2),
-                         free_at + half + kTicksPerUnit);
+    writer.consume(passStartEvent(free_at));
+    writer.consume(passResolveEvent(free_at + half, free_at,
+                                    makeRequest(2, kTicksPerUnit / 10, 2),
+                                    false));
+    writer.consume(tenureStartEvent(makeRequest(2, 0, 2), free_at + half));
+    writer.consume(tenureEndEvent(makeRequest(2, 0, 2),
+                                  free_at + half + kTicksPerUnit));
 
     const auto chunks = readTraceChunks(writer.finish());
     return chunks.front();
@@ -104,10 +105,10 @@ TEST(Latency, SummaryAggregatesInUnits)
 TEST(Latency, InFlightRequestsAreOmitted)
 {
     BinaryTraceWriter writer(1, "p");
-    writer.onRequestPosted(makeRequest(1, 0, 1));
-    writer.onPassStarted(0);
-    writer.onPassResolved(100, 0, makeRequest(1, 0, 1), false);
-    writer.onTenureStarted(makeRequest(1, 0, 1), 100);
+    writer.consume(requestEvent(makeRequest(1, 0, 1)));
+    writer.consume(passStartEvent(0));
+    writer.consume(passResolveEvent(100, 0, makeRequest(1, 0, 1), false));
+    writer.consume(tenureStartEvent(makeRequest(1, 0, 1), 100));
     // Trace ends before the tenure completes.
     const auto chunks = readTraceChunks(writer.finish());
     EXPECT_TRUE(computeRequestLatencies(chunks.front()).empty());
@@ -141,12 +142,12 @@ TEST(Perfetto, EmitsMetadataEventsAndCounters)
 {
     BinaryTraceWriter writer(2, "proto \"quoted\"");
     const std::uint64_t id = writer.defineCounter("bus.ops");
-    writer.onRequestPosted(makeRequest(1, 100, 1));
-    writer.onPassStarted(100);
-    writer.onPassResolved(200, 100, makeRequest(1, 100, 1), false);
-    writer.onTenureStarted(makeRequest(1, 100, 1), 200);
+    writer.consume(requestEvent(makeRequest(1, 100, 1)));
+    writer.consume(passStartEvent(100));
+    writer.consume(passResolveEvent(200, 100, makeRequest(1, 100, 1), false));
+    writer.consume(tenureStartEvent(makeRequest(1, 100, 1), 200));
     writer.counterUpdate(id, 300, 17);
-    writer.onTenureEnded(makeRequest(1, 100, 1), 400);
+    writer.consume(tenureEndEvent(makeRequest(1, 100, 1), 400));
     const auto chunks = readTraceChunks(writer.finish());
 
     std::ostringstream os;
@@ -214,9 +215,9 @@ TEST(Perfetto, MapsChunksToPidsAndAgentsToTids)
     // process (pid 1, 2, ...) with the arbiter on tid 0 and agent k on
     // tid k, so multi-run traces never interleave tracks.
     BinaryTraceWriter first(2, "alpha");
-    first.onRequestPosted(makeRequest(1, 0, 1));
+    first.consume(requestEvent(makeRequest(1, 0, 1)));
     BinaryTraceWriter second(3, "beta");
-    second.onRequestPosted(makeRequest(3, 0, 1));
+    second.consume(requestEvent(makeRequest(3, 0, 1)));
     std::vector<std::uint8_t> bytes = first.finish();
     const auto more = second.finish();
     bytes.insert(bytes.end(), more.begin(), more.end());

@@ -1,11 +1,13 @@
 /**
  * @file
  * End-to-end observability tests on the scenario runner: trace capture
- * decodes and is byte-identical between serial and parallel grids, and
- * the per-run metrics registry is populated consistently with the
- * batch measurements.
+ * decodes and is byte-identical between serial and parallel grids,
+ * every observer sees the same bus event stream, and the per-run
+ * metrics registry is populated consistently with the batch
+ * measurements.
  */
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +17,8 @@
 #include "experiment/protocols.hh"
 #include "experiment/runner.hh"
 #include "obs/binary_trace.hh"
+#include "obs/fairness_auditor.hh"
+#include "obs/flight_recorder.hh"
 #include "obs/latency.hh"
 #include "workload/scenario.hh"
 
@@ -64,6 +68,93 @@ TEST(RunnerCapture, TraceDecodesAndCoversTheRun)
 
     // The decoded trace is rich enough for the latency pipeline.
     EXPECT_FALSE(computeRequestLatencies(chunk).empty());
+}
+
+/** Keeps every event and feeds a 64-event flight recorder. */
+struct RecordingSink : TraceSink
+{
+    std::vector<TraceEvent> events;
+    FlightRecorder recorder{64};
+
+    void
+    consume(const TraceEvent &ev) override
+    {
+        events.push_back(ev);
+        recorder.consume(ev);
+    }
+};
+
+/** @return The `fairness.*` rows of `m`'s CSV rendering. */
+std::string
+fairnessRows(const MetricsRegistry &m)
+{
+    std::ostringstream csv;
+    m.writeCsv(csv);
+    std::istringstream lines(csv.str());
+    std::string rows;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("fairness.", 0) == 0)
+            rows += line + "\n";
+    }
+    return rows;
+}
+
+TEST(RunnerCapture, OneStreamFeedsEveryObserver)
+{
+    // Binary trace, flight recorder, fairness auditor with snapshots,
+    // and a caller's sink all ride one run's bus event stream. The
+    // runner's own recorder is observable only through its panic dump,
+    // so the caller's sink carries a second one of the same size.
+    ScenarioConfig config = smallConfig(2.0);
+    config.flightRecorderEvents = 64;
+    config.auditFairness = true;
+    config.snapshotEveryUnits = 50.0;
+    RecordingSink sink;
+    config.tracer = &sink;
+    const auto result = runScenario(config, protocolByKey("rr1"));
+
+    const auto chunks = readTraceChunks(result.binaryTrace);
+    ASSERT_EQ(chunks.size(), 1u);
+    const TraceChunk &chunk = chunks.front();
+    std::vector<TraceEvent> decoded;
+    for (const TraceEvent &ev : chunk.events) {
+        if (ev.kind != TraceEventKind::kCounterUpdate)
+            decoded.push_back(ev);
+    }
+
+    // The caller's sink saw exactly what the trace writer encoded.
+    ASSERT_GT(decoded.size(), 64u);
+    ASSERT_EQ(sink.events.size(), decoded.size());
+    for (std::size_t i = 0; i < decoded.size(); ++i)
+        ASSERT_EQ(sink.events[i], decoded[i]) << "event " << i;
+
+    // The flight recorder retains the tail of the same stream.
+    const std::vector<TraceEvent> tail(decoded.end() - 64,
+                                       decoded.end());
+    EXPECT_EQ(sink.recorder.snapshot(), tail);
+
+    // Replaying the decoded trace through the auditor, as
+    // `busarb_trace audit` does, reproduces the live audit.
+    FairnessAuditorConfig fc;
+    fc.numAgents = config.numAgents;
+    fc.windowTicks = unitsToTicks(config.fairnessWindowUnits);
+    fc.bypassBound = config.bypassBound;
+    fc.snapshotEveryTicks = unitsToTicks(config.snapshotEveryUnits);
+    fc.label = chunk.protocol;
+    FairnessAuditor replay(fc);
+    Tick end = 0;
+    for (const TraceEvent &ev : chunk.events) {
+        replay.consume(ev);
+        end = std::max(end, ev.tick);
+    }
+    replay.finish(end);
+    MetricsRegistry replayed;
+    replay.exportMetrics(replayed);
+
+    EXPECT_FALSE(result.fairnessSnapshots.empty());
+    EXPECT_EQ(result.fairnessSnapshots, replay.snapshots());
+    EXPECT_FALSE(fairnessRows(result.metrics).empty());
+    EXPECT_EQ(fairnessRows(result.metrics), fairnessRows(replayed));
 }
 
 TEST(RunnerCapture, DisabledCaptureLeavesTraceEmpty)

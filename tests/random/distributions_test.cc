@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -59,9 +60,12 @@ TEST(ExponentialTest, SamplesAreNonNegative)
         EXPECT_GE(d.sample(rng), 0.0);
 }
 
+// gtest names each case after a byte dump of this struct. Both fields
+// are eight bytes wide, so it has no padding and the dump (hence the
+// test name) is the same on every run.
 struct ErlangCase
 {
-    int stages;
+    std::int64_t stages;
     double mean;
 };
 
@@ -72,10 +76,11 @@ class ErlangParamTest : public ::testing::TestWithParam<ErlangCase>
 TEST_P(ErlangParamTest, MeanAndCvMatchTheory)
 {
     const auto param = GetParam();
-    ErlangDistribution d(param.stages, param.mean);
+    ErlangDistribution d(static_cast<int>(param.stages), param.mean);
     const auto rs = sampleStats(d, 300000);
     EXPECT_NEAR(rs.mean(), param.mean, 0.02 * param.mean);
-    const double expected_cv = 1.0 / std::sqrt(param.stages);
+    const double expected_cv =
+        1.0 / std::sqrt(static_cast<double>(param.stages));
     EXPECT_NEAR(rs.stddev() / rs.mean(), expected_cv, 0.03);
     EXPECT_DOUBLE_EQ(d.cv(), expected_cv);
 }

@@ -20,6 +20,7 @@
 #include "obs/binary_trace.hh"
 #include "stats/convergence.hh"
 #include "stats/open_queue.hh"
+#include "support/temp_path.hh"
 #include "workload/scenario.hh"
 
 namespace busarb {
@@ -102,7 +103,7 @@ class TempTraceFile
   public:
     explicit TempTraceFile(int requests)
     {
-        path_ = testing::TempDir() + "workload_source_trace.txt";
+        path_ = test::uniqueTempPath("workload_source_trace", ".txt");
         std::ofstream out(path_);
         double t = 0.0;
         for (int i = 0; i < requests; ++i) {

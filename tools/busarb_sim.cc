@@ -230,11 +230,11 @@ main(int argc, char **argv)
         factories.push_back(protocolFactoryOrExit("busarb_sim", text));
 
     const auto trace_events = parser.getInt("trace-events");
-    std::unique_ptr<TextTracer> tracer;
+    std::unique_ptr<TracePrinter> tracer;
     if (trace_events > 0) {
         std::cout << "timeline of the first " << trace_events
                   << " bus events:\n\n";
-        tracer = std::make_unique<TextTracer>(
+        tracer = std::make_unique<TracePrinter>(
             std::cout, static_cast<std::uint64_t>(trace_events));
         config.tracer = tracer.get();
     }
@@ -245,7 +245,7 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < protocol_specs.size(); ++i)
         grid.push_back({config, factories[i], protocol_specs[i]});
 
-    // A tracer writes to a shared stream while the simulation runs, so
+    // A printer writes to a shared stream while the simulation runs, so
     // traced runs must stay serial; plain runs fan out.
     const int jobs =
         config.tracer != nullptr
