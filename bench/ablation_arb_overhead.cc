@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -36,8 +36,10 @@ main()
             ScenarioConfig config =
                 withPaperMeasurement(equalLoadScenario(10, load));
             config.bus.arbitrationOverhead = overhead;
-            const auto rr = runScenario(config, protocolByKey("rr1"));
-            const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+            const auto rr = runScenario(
+                config, ProtocolRegistry::builtin().fromSpec("rr1"));
+            const auto fcfs = runScenario(
+                config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
             table.addRow({
                 formatFixed(overhead, 2),
                 formatEstimate(rr.meanWait()),

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 #include "stats/autocorrelation.hh"
@@ -40,7 +40,8 @@ main()
         config.numBatches = 10;
         config.batchSize = batch;
         config.warmup = batch;
-        const auto result = runScenario(config, protocolByKey("rr1"));
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
         const Estimate w = result.meanWait();
         std::vector<double> means;
         for (const auto &b : result.batches)

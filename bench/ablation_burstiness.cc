@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -35,8 +35,10 @@ main()
         for (double cv : {0.0, 0.5, 1.0, 2.0, 4.0}) {
             const ScenarioConfig config =
                 withPaperMeasurement(equalLoadScenario(n, load, cv));
-            const auto rr = runScenario(config, protocolByKey("rr1"));
-            const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+            const auto rr = runScenario(
+                config, ProtocolRegistry::builtin().fromSpec("rr1"));
+            const auto fcfs = runScenario(
+                config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
             table.addRow({
                 formatFixed(cv, 1),
                 formatFixed(rr.meanWait().value, 2),

@@ -11,10 +11,10 @@
  */
 
 #include <iostream>
+#include <string>
 
 #include "bench_common.hh"
-#include "core/fcfs.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -34,18 +34,14 @@ main()
         const ScenarioConfig config =
             withPaperMeasurement(equalLoadScenario(n, load));
         for (int bits : {1, 2, 3, 5, 0}) {
-            for (auto policy :
-                 {OverflowPolicy::kSaturate, OverflowPolicy::kWrap}) {
-                FcfsConfig fcfs;
-                fcfs.strategy = FcfsStrategy::kIncrementOnLose;
-                fcfs.counterBits = bits;
-                fcfs.overflow = policy;
-                const auto result =
-                    runScenario(config, makeFcfsFactory(fcfs));
+            for (const std::string policy : {"saturate", "wrap"}) {
+                const std::string spec =
+                    "fcfs1:bits=" + std::to_string(bits) + "," + policy;
+                const auto result = runScenario(
+                    config, ProtocolRegistry::builtin().fromSpec(spec));
                 table.addRow({
                     bits == 0 ? "default(5)" : formatFixed(bits, 0),
-                    policy == OverflowPolicy::kSaturate ? "saturate"
-                                                        : "wrap",
+                    policy,
                     formatEstimate(result.throughputRatio(n, 1)),
                     formatFixed(result.meanWait().value, 2),
                     formatFixed(result.waitStddev().value, 2),

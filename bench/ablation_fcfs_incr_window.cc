@@ -11,11 +11,10 @@
  */
 
 #include <iostream>
-#include <memory>
+#include <string>
 
 #include "bench_common.hh"
-#include "core/fcfs.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -36,10 +35,9 @@ main()
     for (double window : {1e-6, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0}) {
         ScenarioConfig config =
             withPaperMeasurement(equalLoadScenario(n, load));
-        FcfsConfig fcfs;
-        fcfs.strategy = FcfsStrategy::kIncrLine;
-        fcfs.incrWindow = window;
-        const auto result = runScenario(config, makeFcfsFactory(fcfs));
+        const std::string spec = "fcfs2:window=" + formatFixed(window, 6);
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(spec));
         table.addRow({
             formatFixed(window, 6),
             formatEstimate(result.throughputRatio(n, 1)),
@@ -51,7 +49,8 @@ main()
     {
         ScenarioConfig config =
             withPaperMeasurement(equalLoadScenario(n, load));
-        const auto result = runScenario(config, protocolByKey("fcfs1"));
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
         table.addRow({
             "impl1 (per-arb)",
             formatEstimate(result.throughputRatio(n, 1)),

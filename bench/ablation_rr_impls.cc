@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -33,7 +33,8 @@ main()
         for (const char *key : {"rr1", "rr2", "rr3", "central-rr"}) {
             const ScenarioConfig config =
                 withPaperMeasurement(equalLoadScenario(n, load));
-            const auto result = runScenario(config, protocolByKey(key));
+            const auto result =
+                runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
             table.addRow({
                 result.protocolName,
                 formatEstimate(result.meanWait()),

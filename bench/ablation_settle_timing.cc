@@ -20,7 +20,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -35,7 +35,9 @@ meanWaitUnder(const char *key, double load, BusParams params)
     ScenarioConfig config =
         withPaperMeasurement(equalLoadScenario(10, load));
     config.bus = params;
-    return runScenario(config, protocolByKey(key)).meanWait().value;
+    const ScenarioResult result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
+    return result.meanWait().value;
 }
 
 } // namespace
@@ -60,7 +62,7 @@ main()
     TextTable table({"Protocol", "k", "W fixed(0.5) lo/sat",
                      "W dynamic lo/sat", "W worst-case lo/sat"});
     for (const char *key : {"rr1", "rr2", "fcfs1", "fcfs2", "aap1"}) {
-        auto protocol = protocolByKey(key)();
+        auto protocol = ProtocolRegistry::builtin().fromSpec(key)();
         protocol->reset(10);
         const int k = protocol->arbitrationLineCount();
         const auto fmt = [&](BusParams params) {

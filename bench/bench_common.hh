@@ -8,6 +8,8 @@
  * override the batch size (e.g. 1000 for a quick pass), and
  * BUSARB_BENCH_JOBS to pin the scenario-level parallelism (default:
  * one job per hardware thread; results are identical at any setting).
+ * A malformed or out-of-range value exits with status 2 and a message
+ * naming the variable.
  */
 
 #ifndef BUSARB_BENCH_BENCH_COMMON_HH
@@ -18,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "experiment/cli.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
 
@@ -27,12 +30,16 @@ namespace busarb::bench {
 inline std::uint64_t
 batchSize()
 {
-    if (const char *env = std::getenv("BUSARB_BENCH_BATCH")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
+    const char *env = std::getenv("BUSARB_BENCH_BATCH");
+    if (env == nullptr)
+        return 8000;
+    long v = 0;
+    if (!parseLong(env, v) || v < 1) {
+        std::cerr << "BUSARB_BENCH_BATCH must be a positive integer, got '"
+                  << env << "'\n";
+        std::exit(2);
     }
-    return 8000;
+    return static_cast<std::uint64_t>(v);
 }
 
 /** Apply the paper's measurement plan to a scenario. */
@@ -55,17 +62,22 @@ paperLoads()
     return loads;
 }
 
-/** @return Scenario jobs: one per hardware thread, or the
+/** @return Scenario jobs: 0 (one per hardware thread), or the
  *          BUSARB_BENCH_JOBS override. */
 inline int
 benchJobs()
 {
-    if (const char *env = std::getenv("BUSARB_BENCH_JOBS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<int>(v);
+    const char *env = std::getenv("BUSARB_BENCH_JOBS");
+    if (env == nullptr)
+        return 0; // runScenarioGrid resolves 0 to hardware_concurrency
+    long v = 0;
+    if (!parseLong(env, v) || v < 0 || v > 1024) {
+        std::cerr << "BUSARB_BENCH_JOBS must be an integer in [0, 1024] "
+                     "(0 = one per hardware thread), got '"
+                  << env << "'\n";
+        std::exit(2);
     }
-    return 0; // runScenarioGrid resolves 0 to hardware_concurrency
+    return static_cast<int>(v);
 }
 
 /**

@@ -13,7 +13,7 @@
 #include <string>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -35,8 +35,10 @@ main()
     config.histBinWidth = 0.25;
     config.histBins = 400;
 
-    const auto rr = runScenario(config, protocolByKey("rr1"));
-    const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+    const auto rr =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
+    const auto fcfs =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
 
     heading("CDF series (W in transaction times)");
     TextTable table({"t", "CDF RR", "CDF FCFS"});

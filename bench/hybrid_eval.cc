@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -31,7 +31,8 @@ main()
         for (const char *key : {"rr1", "fcfs1", "fcfs2", "hybrid"}) {
             const ScenarioConfig config =
                 withPaperMeasurement(equalLoadScenario(n, load));
-            const auto result = runScenario(config, protocolByKey(key));
+            const auto result =
+                runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
             table.addRow({
                 result.protocolName,
                 formatEstimate(result.meanWait()),

@@ -15,7 +15,7 @@
 #include "bus/async_contention.hh"
 #include "bus/contention.hh"
 #include "bus/wired_or.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "random/rng.hh"
 #include "sim/event_queue.hh"
@@ -241,7 +241,8 @@ BM_FullSimulation(benchmark::State &state)
     config.warmup = 1000;
     config.eventQueuePolicy = policyArg(state.range(1));
     for (auto _ : state) {
-        auto result = runScenario(config, protocolByKey(key));
+        auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -274,7 +275,8 @@ BM_FullSimulationAgents20(benchmark::State &state)
     config.profile = true; // exposes the executed-event count
     std::uint64_t events = 0;
     for (auto _ : state) {
-        auto result = runScenario(config, protocolByKey("rr1"));
+        auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
         events += result.profile.eventsExecuted;
         benchmark::DoNotOptimize(result);
     }
@@ -314,7 +316,8 @@ BM_FullSimulationObserved(benchmark::State &state)
         break;
     }
     for (auto _ : state) {
-        auto result = runScenario(config, protocolByKey("rr1"));
+        auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -342,7 +345,8 @@ BM_FullSimulationProfiled(benchmark::State &state)
     config.warmup = 1000;
     config.profile = state.range(0) != 0;
     for (auto _ : state) {
-        auto result = runScenario(config, protocolByKey("rr1"));
+        auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -365,7 +369,8 @@ BM_RunHealthMonitored(benchmark::State &state)
     config.monitorHealth = state.range(0) >= 1;
     config.healthSnapshots = state.range(0) >= 2;
     for (auto _ : state) {
-        auto result = runScenario(config, protocolByKey("rr1"));
+        auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
         benchmark::DoNotOptimize(result);
     }
     state.SetItemsProcessed(state.iterations() *

@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -45,10 +45,13 @@ main()
         for (double load : paperLoads()) {
             const ScenarioConfig config =
                 withPaperMeasurement(equalLoadScenario(n, load));
-            grid.push_back({config, protocolByKey("rr1")});
-            grid.push_back({config, protocolByKey("fcfs1")});
+            grid.push_back(
+                {config, ProtocolRegistry::builtin().fromSpec("rr1")});
+            grid.push_back(
+                {config, ProtocolRegistry::builtin().fromSpec("fcfs1")});
             if (with_aap)
-                grid.push_back({config, protocolByKey("aap1")});
+                grid.push_back(
+                    {config, ProtocolRegistry::builtin().fromSpec("aap1")});
         }
         const auto results = runGrid(grid);
         std::size_t cell = 0;

@@ -21,7 +21,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -72,8 +72,10 @@ main()
             config.collectHistogram = true;
             config.histBinWidth = 0.25;
             config.histBins = 800;
-            const auto rr = runScenario(config, protocolByKey("rr1"));
-            const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+            const auto rr = runScenario(
+                config, ProtocolRegistry::builtin().fromSpec("rr1"));
+            const auto fcfs = runScenario(
+                config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
             const double v =
                 overlapValue(rr.waitHistogram, fcfs.waitHistogram);
             const double think =

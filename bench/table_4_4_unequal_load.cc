@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -46,8 +46,10 @@ main()
             const ScenarioConfig config = withPaperMeasurement(
                 unequalLoadScenario(n, base_load, factor));
             configs.push_back(config);
-            grid.push_back({config, protocolByKey("rr1")});
-            grid.push_back({config, protocolByKey("fcfs1")});
+            grid.push_back(
+                {config, ProtocolRegistry::builtin().fromSpec("rr1")});
+            grid.push_back(
+                {config, ProtocolRegistry::builtin().fromSpec("fcfs1")});
         }
         const auto results = runGrid(grid);
         for (std::size_t i = 0; i < configs.size(); ++i) {

@@ -14,7 +14,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 #include "workload/agent_traits.hh"
@@ -48,7 +48,8 @@ main()
             const ScenarioConfig config =
                 withPaperMeasurement(worstCaseRrScenario(n, cv));
             configs.push_back(config);
-            grid.push_back({config, protocolByKey("rr1")});
+            grid.push_back(
+                {config, ProtocolRegistry::builtin().fromSpec("rr1")});
         }
         const auto results = runGrid(grid);
         for (std::size_t i = 0; i < cvs.size(); ++i) {

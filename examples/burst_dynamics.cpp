@@ -5,39 +5,55 @@
  * All the fair protocols drain a backlog at the same rate (the bus is
  * work-conserving), but they hand out the pain very differently. This
  * example slams an 8-agent bus with a synchronized burst of requests
- * per agent, samples the backlog and utilization in half-unit windows
- * with a TimelineProbe, and prints drain curves for two protocols side
- * by side — plus which agent was still waiting at the end under each.
+ * per agent, samples the backlog and utilization every two units with
+ * one self-rescheduling stats event, and prints drain curves for two
+ * protocols side by side — plus which agent was still waiting at the
+ * end under each.
  *
  * Usage: burst_dynamics [burst_per_agent]   (default 6)
  */
 
-#include <cstdlib>
+#include <algorithm>
+#include <functional>
 #include <iostream>
-#include <memory>
 #include <string>
+#include <vector>
 
-#include "experiment/protocols.hh"
+#include "bus/bus.hh"
+#include "experiment/cli.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/table.hh"
-#include "experiment/timeline.hh"
 #include "sim/event_queue.hh"
 
 namespace {
 
 using namespace busarb;
 
+/** The bus at the end of one sampling window. */
+struct DrainSample
+{
+    /** End of the window, transaction units. */
+    double time = 0.0;
+
+    /** Requests outstanding at the sample instant. */
+    std::uint64_t outstanding = 0;
+
+    /** Bus utilization within the window. */
+    double utilization = 0.0;
+};
+
 struct DrainResult
 {
-    std::vector<TimelineSample> samples;
+    std::vector<DrainSample> samples;
     double lastServiceTime = 0.0;
     double agentOneFirstService = 0.0;
 };
 
 DrainResult
-drain(const char *key, int n, int burst)
+drain(const char *key, int n, long burst)
 {
     EventQueue queue;
-    Bus bus(queue, protocolByKey(key)(), n, {});
+    Bus bus(queue, ProtocolRegistry::builtin().fromSpec(key)(), n, {});
     struct LastSeen : BusObserver
     {
         double time = 0.0;
@@ -52,18 +68,30 @@ drain(const char *key, int n, int burst)
         }
     } last;
     bus.setObserver(&last);
-    TimelineProbe probe(queue, bus, 2.0);
-    probe.start();
+    DrainResult result;
+    const Tick window = unitsToTicks(2.0);
+    Tick last_busy = bus.busyTicks();
+    std::function<void()> sample = [&] {
+        const Tick busy = bus.busyTicks();
+        // busyTicks is credited at tenure start for the whole transfer,
+        // so a window's utilization can momentarily exceed 1; clamp.
+        const double utilization =
+            std::min(1.0, static_cast<double>(busy - last_busy) /
+                              static_cast<double>(window));
+        last_busy = busy;
+        result.samples.push_back({ticksToUnits(queue.now()),
+                                  bus.outstandingRequests(), utilization});
+        queue.scheduleIn(window, [&] { sample(); }, kPriStats);
+    };
+    queue.scheduleIn(window, [&] { sample(); }, kPriStats);
     queue.schedule(0, [&, n, burst] {
-        for (int b = 0; b < burst; ++b) {
+        for (long b = 0; b < burst; ++b) {
             for (AgentId a = 1; a <= n; ++a)
                 bus.postRequest(a);
         }
     });
     const Tick horizon = unitsToTicks(2.0 * n * burst);
     queue.run(horizon);
-    DrainResult result;
-    result.samples = probe.samples();
     result.lastServiceTime = last.time;
     result.agentOneFirstService = last.agentOneFirst;
     return result;
@@ -74,7 +102,14 @@ drain(const char *key, int n, int burst)
 int
 main(int argc, char **argv)
 {
-    const int burst = (argc > 1) ? std::atoi(argv[1]) : 6;
+    long burst = 6;
+    if (argc > 1 &&
+        (!parseLong(argv[1], burst) || burst < 1 || burst > 1000)) {
+        std::cerr << "burst_dynamics: burst_per_agent must be an integer "
+                     "in [1, 1000], got '"
+                  << argv[1] << "'\n";
+        return 2;
+    }
     const int n = 8;
     std::cout << "Burst drain: " << n << " agents x " << burst
               << " simultaneous requests each (" << n * burst

@@ -15,7 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/table.hh"
 #include "stats/welford.hh"
 #include "workload/closed_agent.hh"
@@ -38,7 +38,7 @@ run(const char *key, const OnOffParams &params)
 {
     const int n = 8;
     EventQueue queue;
-    Bus bus(queue, protocolByKey(key)(), n, {});
+    Bus bus(queue, ProtocolRegistry::builtin().fromSpec(key)(), n, {});
     struct Waits : BusObserver
     {
         RunningStats stats;

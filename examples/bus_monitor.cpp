@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "bus/trace.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "random/rng.hh"
 #include "sim/event_queue.hh"
 #include "workload/closed_agent.hh"
@@ -40,6 +40,7 @@ main(int argc, char **argv)
     using namespace busarb;
 
     const std::string key = (argc > 1) ? argv[1] : "rr3";
+    const ProtocolFactory factory = protocolFactoryOrExit("bus_monitor", key);
     const int n = 4;
 
     std::cout << "Monitoring a " << n << "-agent bus under protocol '"
@@ -47,7 +48,7 @@ main(int argc, char **argv)
               << "~2 units of mean think time)\n\n";
 
     EventQueue queue;
-    Bus bus(queue, protocolByKey(key)(), n, {});
+    Bus bus(queue, factory(), n, {});
     TracePrinter printer(std::cout, /*max_events=*/60);
     bus.addTraceSink(&printer);
 

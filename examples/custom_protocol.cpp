@@ -23,7 +23,7 @@
 #include "bus/contention.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 #include "workload/scenario.hh"
@@ -145,15 +145,13 @@ main()
             low > 0.0 ? formatFixed(high / low, 2) : "inf (starved)",
         });
     };
-    report(runScenario(config, protocolByKey("rr1")));
+    const ProtocolRegistry &registry = ProtocolRegistry::builtin();
+    report(runScenario(config, registry.fromSpec("rr1")));
     // Counter sizing matters with r > 1 (Section 3.2): tell FCFS that
     // agents keep up to 4 requests outstanding so it adds ceil(log2 4)
-    // counter bits. (Try maxOutstandingHint = 1 to watch the saturated
-    // counters degenerate into identity order and starve agent 1.)
-    FcfsConfig fcfs;
-    fcfs.strategy = FcfsStrategy::kIncrLine;
-    fcfs.maxOutstandingHint = 4;
-    report(runScenario(config, makeFcfsFactory(fcfs)));
+    // counter bits. (Try r=1 to watch the saturated counters
+    // degenerate into identity order and starve agent 1.)
+    report(runScenario(config, registry.fromSpec("fcfs2:r=4")));
     report(runScenario(config, [] {
         return std::make_unique<LongestQueueFirstProtocol>();
     }));

@@ -13,10 +13,10 @@
  * Usage: fairness_demo [num_agents]   (default 10)
  */
 
-#include <cstdlib>
 #include <iostream>
 
-#include "experiment/protocols.hh"
+#include "experiment/cli.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 #include "workload/scenario.hh"
@@ -26,10 +26,13 @@ main(int argc, char **argv)
 {
     using namespace busarb;
 
-    const int n = (argc > 1) ? std::atoi(argv[1]) : 10;
-    if (n < 2) {
-        std::cerr << "need at least 2 agents\n";
-        return 1;
+    // Total load 2.5 needs n >= 3 to keep each agent's load below 1.
+    long n = 10;
+    if (argc > 1 && (!parseLong(argv[1], n) || n < 3 || n > 64)) {
+        std::cerr << "fairness_demo: num_agents must be an integer in "
+                     "[3, 64], got '"
+                  << argv[1] << "'\n";
+        return 2;
     }
 
     std::cout << "Bandwidth share per agent under saturation (" << n
@@ -42,10 +45,11 @@ main(int argc, char **argv)
 
     TextTable table({"agent", "AAP-1 share", "AAP-2 share", "RR share",
                      "FCFS share"});
-    const auto aap1 = runScenario(config, protocolByKey("aap1"));
-    const auto aap2 = runScenario(config, protocolByKey("aap2"));
-    const auto rr = runScenario(config, protocolByKey("rr1"));
-    const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+    const ProtocolRegistry &registry = ProtocolRegistry::builtin();
+    const auto aap1 = runScenario(config, registry.fromSpec("aap1"));
+    const auto aap2 = runScenario(config, registry.fromSpec("aap2"));
+    const auto rr = runScenario(config, registry.fromSpec("rr1"));
+    const auto fcfs = runScenario(config, registry.fromSpec("fcfs1"));
     const double fair = 1.0 / n;
     for (AgentId a = 1; a <= n; ++a) {
         table.addRow({

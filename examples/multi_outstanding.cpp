@@ -16,11 +16,12 @@
  * Usage: multi_outstanding [max_r]   (default 8)
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "core/fcfs.hh"
-#include "experiment/protocols.hh"
+#include "experiment/cli.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 #include "workload/scenario.hh"
@@ -30,7 +31,14 @@ main(int argc, char **argv)
 {
     using namespace busarb;
 
-    const int max_r = (argc > 1) ? std::atoi(argv[1]) : 8;
+    long max_r = 8;
+    if (argc > 1 &&
+        (!parseLong(argv[1], max_r) || max_r < 1 || max_r > 64)) {
+        std::cerr << "multi_outstanding: max_r must be an integer in "
+                     "[1, 64], got '"
+                  << argv[1] << "'\n";
+        return 2;
+    }
     const int n = 8;
 
     std::cout << "FCFS with multiple outstanding requests per agent ("
@@ -51,14 +59,14 @@ main(int argc, char **argv)
         config.batchSize = 4000;
         config.warmup = 4000;
 
-        FcfsConfig fcfs;
-        fcfs.strategy = FcfsStrategy::kIncrLine;
-        fcfs.maxOutstandingHint = r;
-        FcfsProtocol probe(fcfs);
-        probe.reset(n);
-        const int bits = probe.counterBits();
+        const ProtocolFactory fcfs = ProtocolRegistry::builtin().fromSpec(
+            "fcfs2:r=" + std::to_string(r));
+        auto probe = fcfs();
+        probe->reset(n);
+        const int bits =
+            dynamic_cast<const FcfsProtocol &>(*probe).counterBits();
 
-        const auto result = runScenario(config, makeFcfsFactory(fcfs));
+        const auto result = runScenario(config, fcfs);
         table.addRow({
             std::to_string(r),
             std::to_string(bits),

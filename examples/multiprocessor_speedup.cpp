@@ -21,7 +21,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 #include "workload/scenario.hh"
@@ -43,7 +43,8 @@ main()
             config.numBatches = 8;
             config.batchSize = 3000;
             config.warmup = 3000;
-            const auto result = runScenario(config, protocolByKey(key));
+            const auto result =
+                runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
             double total = 0.0;
             double slowest = 1.0;
             double fastest = 0.0;

@@ -14,7 +14,6 @@
  * Usage: priority_traffic [priority_fraction]   (default 0.2)
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "baseline/aap_batch.hh"
 #include "core/fcfs.hh"
 #include "core/round_robin.hh"
+#include "experiment/cli.hh"
 #include "experiment/metrics.hh"
 #include "experiment/table.hh"
 #include "random/rng.hh"
@@ -108,7 +108,14 @@ runCase(const std::string &label,
 int
 main(int argc, char **argv)
 {
-    const double fraction = (argc > 1) ? std::atof(argv[1]) : 0.2;
+    double fraction = 0.2;
+    if (argc > 1 && (!parseDouble(argv[1], fraction) ||
+                     !(fraction >= 0.0 && fraction <= 1.0))) {
+        std::cerr << "priority_traffic: priority_fraction must be a "
+                     "number in [0, 1], got '"
+                  << argv[1] << "'\n";
+        return 2;
+    }
     std::cout << "Priority integration demo: 10 agents at total load "
                  "2.0; agents 1-2 issue\n"
               << fraction * 100.0 << "% of their requests as priority\n\n";

@@ -6,10 +6,10 @@
  * Usage: quickstart [total_offered_load]   (default 2.0)
  */
 
-#include <cstdlib>
 #include <iostream>
 
-#include "experiment/protocols.hh"
+#include "experiment/cli.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 #include "workload/scenario.hh"
@@ -19,8 +19,15 @@ main(int argc, char **argv)
 {
     using namespace busarb;
 
-    const double total_load = (argc > 1) ? std::atof(argv[1]) : 2.0;
     const int num_agents = 10;
+    double total_load = 2.0;
+    if (argc > 1 && (!parseDouble(argv[1], total_load) ||
+                     !(total_load > 0.0 && total_load < num_agents))) {
+        std::cerr << "quickstart: total_offered_load must be a number in "
+                     "(0, "
+                  << num_agents << "), got '" << argv[1] << "'\n";
+        return 2;
+    }
 
     // A scenario is the full recipe for a run: agents, their offered
     // loads, the bus timing (1-unit transfers, 0.5-unit arbitration
@@ -35,7 +42,7 @@ main(int argc, char **argv)
                      "stddev of W", "thr(hi)/thr(lo)"});
     for (const char *key : {"rr1", "fcfs1", "aap1", "fixed"}) {
         const ScenarioResult result =
-            runScenario(config, protocolByKey(key));
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
         table.addRow({
             result.protocolName,
             formatEstimate(result.throughput()),

@@ -17,7 +17,7 @@
 #include <memory>
 #include <vector>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/table.hh"
 #include "stats/welford.hh"
 #include "workload/trace_workload.hh"
@@ -74,7 +74,7 @@ main(int argc, char **argv)
                      "served(hi)/served(lo)"});
     for (const char *key : {"fixed", "aap1", "rr1", "fcfs2", "hybrid"}) {
         EventQueue queue;
-        Bus bus(queue, protocolByKey(key)(),
+        Bus bus(queue, ProtocolRegistry::builtin().fromSpec(key)(),
                 std::max<int>(n, trace.maxAgent()), {});
         TraceMetrics metrics(bus.numAgents());
         bus.setObserver(&metrics);

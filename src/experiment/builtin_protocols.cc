@@ -415,8 +415,8 @@ registerWeightedRoundRobin(ProtocolRegistry &registry)
 void
 registerBuiltinProtocols(ProtocolRegistry &registry)
 {
-    // Legacy key order first (rr1..ticket) so allProtocols() keeps its
-    // historical ordering, then the registration-only additions.
+    // Paper protocols and baselines first (rr1..ticket), in their
+    // historical order, then the registration-only additions.
     registerRoundRobin(registry);
     registerFcfs(registry);
     registerHybridAndBaselines(registry);

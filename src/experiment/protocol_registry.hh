@@ -55,7 +55,8 @@ struct ProtocolDescriptor
     /**
      * True for parameterized family aliases ("rr", "fcfs") that expose
      * an existing protocol under a canonical schema; aliases are shown
-     * by --list-protocols but excluded from allProtocols().
+     * by --list-protocols, and callers enumerating distinct protocols
+     * skip them.
      */
     bool isAlias = false;
 

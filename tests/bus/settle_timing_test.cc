@@ -12,7 +12,7 @@
 #include "bus/bus.hh"
 #include "core/fcfs.hh"
 #include "core/round_robin.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "sim/event_queue.hh"
 #include "support/schedule_recorder.hh"
@@ -88,7 +88,7 @@ TEST(SettleTimingTest, ProtocolsReportPlausibleRoundCounts)
     // settle rounds are within the synchronous-model bound (<= k).
     for (const char *key : {"rr1", "rr2", "rr3", "fcfs1", "fcfs2",
                             "hybrid", "fixed", "aap1", "aap2"}) {
-        auto protocol = protocolByKey(key)();
+        auto protocol = ProtocolRegistry::builtin().fromSpec(key)();
         protocol->reset(10);
         Request req;
         req.agent = 7;
@@ -109,7 +109,7 @@ TEST(SettleTimingTest, ProtocolsReportPlausibleRoundCounts)
 TEST(SettleTimingTest, CentralProtocolsReportNoSignalModel)
 {
     for (const char *key : {"central-rr", "central-fcfs", "ticket"}) {
-        auto protocol = protocolByKey(key)();
+        auto protocol = ProtocolRegistry::builtin().fromSpec(key)();
         protocol->reset(4);
         EXPECT_EQ(protocol->settleRoundsForPass(), -1) << key;
     }
@@ -127,8 +127,10 @@ TEST(SettleTimingTest, FcfsPaysMoreArbitrationTimeThanRr)
     config.numBatches = 5;
     config.batchSize = 1200;
     config.warmup = 1200;
-    const auto rr = runScenario(config, protocolByKey("rr1"));
-    const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+    const auto rr =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
+    const auto fcfs =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
     EXPECT_GT(fcfs.meanWait().value, rr.meanWait().value + 0.02);
 }
 
@@ -155,13 +157,15 @@ TEST(SettleTimingTest, WholeStackStillConservesWork)
     config.batchSize = 1000;
     config.warmup = 1000;
     for (const char *key : {"rr1", "fcfs2", "aap1"}) {
-        const auto result = runScenario(config, protocolByKey(key));
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
         EXPECT_NEAR(result.utilization().value, 1.0, 5e-3) << key;
     }
     // The fair protocols stay fair under settle timing (AAP-1 is
     // inherently unfair regardless of the timing model).
     for (const char *key : {"rr1", "fcfs2"}) {
-        const auto result = runScenario(config, protocolByKey(key));
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
         EXPECT_NEAR(result.throughputRatio(8, 1).value, 1.0, 0.15)
             << key;
     }

@@ -11,7 +11,7 @@
 #include "core/fcfs.hh"
 #include "experiment/csv.hh"
 #include "experiment/metrics.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/table.hh"
 
@@ -107,9 +107,12 @@ TEST(TextTableDeathTest, RowSizeMismatch)
 
 TEST(ProtocolRegistryTest, AllKeysConstructible)
 {
-    for (const auto &named : allProtocols()) {
-        auto protocol = named.factory();
-        ASSERT_NE(protocol, nullptr) << named.key;
+    const ProtocolRegistry &registry = ProtocolRegistry::builtin();
+    for (const auto &desc : registry.all()) {
+        if (desc.isAlias)
+            continue;
+        auto protocol = registry.fromSpec(desc.key)();
+        ASSERT_NE(protocol, nullptr) << desc.key;
         protocol->reset(8);
         EXPECT_FALSE(protocol->name().empty());
         EXPECT_FALSE(protocol->wantsPass());
@@ -118,26 +121,31 @@ TEST(ProtocolRegistryTest, AllKeysConstructible)
 
 TEST(ProtocolRegistryTest, LookupByKey)
 {
-    auto factory = protocolByKey("rr2");
+    auto factory = ProtocolRegistry::builtin().fromSpec("rr2");
     auto protocol = factory();
     EXPECT_NE(protocol->name().find("impl 2"), std::string::npos);
 }
 
 TEST(ProtocolSpecTest, BareKeysMatchRegistry)
 {
-    for (const auto &named : allProtocols()) {
-        auto protocol = protocolFromSpec(named.key)();
-        auto reference = named.factory();
+    const ProtocolRegistry &registry = ProtocolRegistry::builtin();
+    for (const auto &desc : registry.all()) {
+        if (desc.isAlias)
+            continue;
+        ProtocolSpec spec;
+        spec.key = desc.key;
+        auto protocol = registry.fromSpec(desc.key)();
+        auto reference = registry.instantiate(spec)();
         protocol->reset(8);
         reference->reset(8);
-        EXPECT_EQ(protocol->name(), reference->name()) << named.key;
+        EXPECT_EQ(protocol->name(), reference->name()) << desc.key;
     }
 }
 
 TEST(ProtocolSpecTest, FcfsOptionsApply)
 {
-    auto factory =
-        protocolFromSpec("fcfs2:window=0.05,bits=3,wrap,r=4");
+    auto factory = ProtocolRegistry::builtin().fromSpec(
+        "fcfs2:window=0.05,bits=3,wrap,r=4");
     auto protocol = factory();
     auto *fcfs = dynamic_cast<FcfsProtocol *>(protocol.get());
     ASSERT_NE(fcfs, nullptr);
@@ -148,7 +156,7 @@ TEST(ProtocolSpecTest, FcfsOptionsApply)
 
 TEST(ProtocolSpecTest, RrPriorityOptionsApply)
 {
-    auto protocol = protocolFromSpec("rr1:priority")();
+    auto protocol = ProtocolRegistry::builtin().fromSpec("rr1:priority")();
     protocol->reset(8);
     Request req;
     req.agent = 1;
@@ -162,34 +170,36 @@ TEST(ProtocolSpecTest, RrPriorityOptionsApply)
 
 TEST(ProtocolSpecTest, TicketAndHybridBits)
 {
-    auto ticket = protocolFromSpec("ticket:bits=6")();
+    const ProtocolRegistry &registry = ProtocolRegistry::builtin();
+    auto ticket = registry.fromSpec("ticket:bits=6")();
     ticket->reset(4);
     EXPECT_NE(ticket->name().find("Ticket"), std::string::npos);
-    auto hybrid = protocolFromSpec("hybrid:bits=2")();
+    auto hybrid = registry.fromSpec("hybrid:bits=2")();
     hybrid->reset(4);
     EXPECT_NE(hybrid->name().find("Hybrid"), std::string::npos);
 }
 
 TEST(ProtocolSpecDeathTest, BadSpecsAreFatal)
 {
-    EXPECT_EXIT(protocolFromSpec("nope:priority"),
+    const ProtocolRegistry &registry = ProtocolRegistry::builtin();
+    EXPECT_EXIT(registry.fromSpec("nope:priority"),
                 ::testing::ExitedWithCode(1), "unknown protocol key");
-    EXPECT_EXIT(protocolFromSpec("rr1:turbo"),
+    EXPECT_EXIT(registry.fromSpec("rr1:turbo"),
                 ::testing::ExitedWithCode(1), "unknown option");
-    EXPECT_EXIT(protocolFromSpec("fcfs1:bits"),
+    EXPECT_EXIT(registry.fromSpec("fcfs1:bits"),
                 ::testing::ExitedWithCode(1), "needs a value");
-    EXPECT_EXIT(protocolFromSpec("fcfs1:counting=sometimes"),
+    EXPECT_EXIT(registry.fromSpec("fcfs1:counting=sometimes"),
                 ::testing::ExitedWithCode(1), "always");
-    EXPECT_EXIT(protocolFromSpec("central-rr:bits=2"),
+    EXPECT_EXIT(registry.fromSpec("central-rr:bits=2"),
                 ::testing::ExitedWithCode(1), "unknown option");
-    EXPECT_EXIT(protocolFromSpec("rr1:priority=maybe"),
+    EXPECT_EXIT(registry.fromSpec("rr1:priority=maybe"),
                 ::testing::ExitedWithCode(1), "true/false");
 }
 
 TEST(ProtocolRegistryDeathTest, UnknownKey)
 {
-    EXPECT_EXIT(protocolByKey("nope"), ::testing::ExitedWithCode(1),
-                "unknown protocol");
+    EXPECT_EXIT(ProtocolRegistry::builtin().fromSpec("nope"),
+                ::testing::ExitedWithCode(1), "unknown protocol");
 }
 
 /** A small, fast scenario for runner tests. */
@@ -205,7 +215,8 @@ smallScenario(double load = 1.0)
 
 TEST(RunnerTest, ProducesRequestedBatches)
 {
-    const auto result = runScenario(smallScenario(), protocolByKey("rr1"));
+    const auto result = runScenario(
+        smallScenario(), ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_EQ(result.batches.size(), 5u);
     EXPECT_EQ(result.numAgents, 6);
     EXPECT_FALSE(result.protocolName.empty());
@@ -220,8 +231,8 @@ TEST(RunnerTest, ProducesRequestedBatches)
 
 TEST(RunnerTest, LowLoadThroughputMatchesOfferedLoad)
 {
-    const auto result =
-        runScenario(smallScenario(0.3), protocolByKey("rr1"));
+    const auto result = runScenario(
+        smallScenario(0.3), ProtocolRegistry::builtin().fromSpec("rr1"));
     const Estimate thr = result.throughput();
     EXPECT_NEAR(thr.value, 0.3, 0.03);
     const Estimate util = result.utilization();
@@ -230,8 +241,8 @@ TEST(RunnerTest, LowLoadThroughputMatchesOfferedLoad)
 
 TEST(RunnerTest, SaturatedBusIsFullyUtilized)
 {
-    const auto result =
-        runScenario(smallScenario(3.0), protocolByKey("fcfs1"));
+    const auto result = runScenario(
+        smallScenario(3.0), ProtocolRegistry::builtin().fromSpec("fcfs1"));
     EXPECT_NEAR(result.utilization().value, 1.0, 1e-6);
     EXPECT_NEAR(result.throughput().value, 1.0, 1e-6);
 }
@@ -240,7 +251,8 @@ TEST(RunnerTest, HistogramCollectedWhenRequested)
 {
     auto config = smallScenario();
     config.collectHistogram = true;
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_EQ(result.waitHistogram.count(), 5u * 400u);
     EXPECT_GT(result.waitHistogram.cdf(1000.0), 0.99);
 }
@@ -250,7 +262,8 @@ TEST(RunnerTest, PerAgentHistogramsSumToGlobal)
     auto config = smallScenario(2.0);
     config.collectHistogram = true;
     config.collectPerAgentHistograms = true;
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     ASSERT_EQ(result.agentWaitHistograms.size(), 6u);
     std::uint64_t total = 0;
     for (const auto &h : result.agentWaitHistograms)
@@ -264,7 +277,8 @@ TEST(RunnerTest, PerAgentHistogramsExposeFixedPriorityDominance)
     // stochastically dominates the bottom's.
     auto config = smallScenario(2.0);
     config.collectPerAgentHistograms = true;
-    const auto result = runScenario(config, protocolByKey("fixed"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fixed"));
     const auto &hi = result.agentWaitHistograms[5];
     const auto &lo = result.agentWaitHistograms[0];
     ASSERT_GT(hi.count(), 0u);
@@ -286,8 +300,8 @@ TEST(MetricsDeathTest, PerAgentHistogramRequiresEnable)
 
 TEST(RunnerTest, AgentThroughputsSumToTotal)
 {
-    const auto result =
-        runScenario(smallScenario(2.0), protocolByKey("rr1"));
+    const auto result = runScenario(
+        smallScenario(2.0), ProtocolRegistry::builtin().fromSpec("rr1"));
     double sum = 0.0;
     for (AgentId a = 1; a <= 6; ++a)
         sum += result.agentThroughput(a).value;
@@ -296,8 +310,8 @@ TEST(RunnerTest, AgentThroughputsSumToTotal)
 
 TEST(RunnerTest, MinimumWaitIsArbitrationPlusService)
 {
-    const auto result =
-        runScenario(smallScenario(0.1), protocolByKey("rr1"));
+    const auto result = runScenario(
+        smallScenario(0.1), ProtocolRegistry::builtin().fromSpec("rr1"));
     // W >= 1.5 always; near-idle bus means W barely above 1.5.
     EXPECT_GT(result.meanWait().value, 1.49);
     EXPECT_LT(result.meanWait().value, 1.8);
@@ -305,8 +319,10 @@ TEST(RunnerTest, MinimumWaitIsArbitrationPlusService)
 
 TEST(RunnerTest, SameSeedReproduces)
 {
-    const auto r1 = runScenario(smallScenario(), protocolByKey("fcfs1"));
-    const auto r2 = runScenario(smallScenario(), protocolByKey("fcfs1"));
+    const auto r1 = runScenario(
+        smallScenario(), ProtocolRegistry::builtin().fromSpec("fcfs1"));
+    const auto r2 = runScenario(
+        smallScenario(), ProtocolRegistry::builtin().fromSpec("fcfs1"));
     ASSERT_EQ(r1.batches.size(), r2.batches.size());
     for (std::size_t i = 0; i < r1.batches.size(); ++i) {
         EXPECT_DOUBLE_EQ(r1.batches[i].duration,
@@ -318,15 +334,18 @@ TEST(RunnerTest, SameSeedReproduces)
 TEST(RunnerTest, DifferentSeedsDiffer)
 {
     auto config = smallScenario();
-    const auto r1 = runScenario(config, protocolByKey("fcfs1"));
+    const auto r1 =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
     config.seed = 999;
-    const auto r2 = runScenario(config, protocolByKey("fcfs1"));
+    const auto r2 =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
     EXPECT_NE(r1.batches[0].waitMean, r2.batches[0].waitMean);
 }
 
 TEST(CsvTest, BatchesCsvHasHeaderAndRows)
 {
-    const auto result = runScenario(smallScenario(), protocolByKey("rr1"));
+    const auto result = runScenario(
+        smallScenario(), ProtocolRegistry::builtin().fromSpec("rr1"));
     std::ostringstream os;
     writeBatchesCsv(result, os);
     const std::string out = os.str();
@@ -343,7 +362,8 @@ TEST(CsvTest, HistogramCsvEndsWithOverflowRow)
     config.collectHistogram = true;
     config.histBinWidth = 0.5;
     config.histBins = 50;
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     std::ostringstream os;
     writeHistogramCsv(result, os);
     const std::string out = os.str();
@@ -353,7 +373,8 @@ TEST(CsvTest, HistogramCsvEndsWithOverflowRow)
 
 TEST(CsvTest, SummaryRowsRoundTrip)
 {
-    const auto result = runScenario(smallScenario(), protocolByKey("rr1"));
+    const auto result = runScenario(
+        smallScenario(), ProtocolRegistry::builtin().fromSpec("rr1"));
     std::ostringstream os;
     writeSummaryCsvHeader(os);
     writeSummaryCsvRow(result, "load=1.0", os);
@@ -370,7 +391,8 @@ TEST(RunnerTest, ThroughputRatioSurvivesStarvation)
     // Fixed priority at heavy load starves agent 1 in some batches; the
     // ratio must degrade gracefully instead of failing.
     auto config = smallScenario(3.0);
-    const auto result = runScenario(config, protocolByKey("fixed"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fixed"));
     const Estimate ratio = result.throughputRatio(6, 1);
     EXPECT_TRUE(ratio.value > 1.0); // possibly +inf
     EXPECT_DOUBLE_EQ(ratio.halfWidth, 0.0);
@@ -380,8 +402,9 @@ TEST(RunnerDeathTest, MisconfiguredScenario)
 {
     ScenarioConfig config = smallScenario();
     config.agents.pop_back();
-    EXPECT_DEATH(runScenario(config, protocolByKey("rr1")),
-                 "agent traits count");
+    EXPECT_DEATH(
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1")),
+        "agent traits count");
 }
 
 } // namespace

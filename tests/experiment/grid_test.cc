@@ -13,7 +13,7 @@
 
 #include "experiment/job_pool.hh"
 #include "experiment/metrics.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
 
@@ -94,7 +94,8 @@ TEST(ScenarioGridTest, ParallelRunIsBitIdenticalToSerial)
     std::vector<GridJob> grid;
     for (const char *key : {"rr1", "fcfs1", "aap1"}) {
         for (double load : {0.5, 2.0, 7.5})
-            grid.push_back({smallConfig(load), protocolByKey(key)});
+            grid.push_back({smallConfig(load),
+                            ProtocolRegistry::builtin().fromSpec(key)});
     }
     const auto serial = runScenarioGrid(grid, 1);
     const auto parallel = runScenarioGrid(grid, 4);
@@ -109,9 +110,11 @@ TEST(ScenarioGridTest, ResultsComeBackInSubmissionOrder)
     std::vector<GridJob> grid;
     std::vector<std::string> expected;
     for (const char *key : {"rr1", "fcfs1", "aap1"}) {
-        grid.push_back({smallConfig(1.0), protocolByKey(key)});
+        grid.push_back(
+            {smallConfig(1.0), ProtocolRegistry::builtin().fromSpec(key)});
         expected.push_back(
-            runScenario(smallConfig(1.0), protocolByKey(key))
+            runScenario(
+                smallConfig(1.0), ProtocolRegistry::builtin().fromSpec(key))
                 .protocolName);
     }
     const auto results = runScenarioGrid(grid, 3);
@@ -122,7 +125,8 @@ TEST(ScenarioGridTest, ResultsComeBackInSubmissionOrder)
 
 TEST(ScenarioGridTest, GridFillsPerScenarioTiming)
 {
-    std::vector<GridJob> grid{{smallConfig(1.0), protocolByKey("rr1")}};
+    std::vector<GridJob> grid{
+        {smallConfig(1.0), ProtocolRegistry::builtin().fromSpec("rr1")}};
     const auto results = runScenarioGrid(grid, 1);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_GE(results[0].elapsedMs, 0.0);
@@ -180,8 +184,8 @@ TEST(BatchWaitStatsTest, RunnerBatchesMatchWelfordStatistics)
     // End-to-end: per-batch stddev must be non-negative and finite on
     // a real run (the old path could silently clamp a negative
     // variance to zero).
-    const auto result =
-        runScenario(smallConfig(2.0), protocolByKey("rr1"));
+    const auto result = runScenario(
+        smallConfig(2.0), ProtocolRegistry::builtin().fromSpec("rr1"));
     for (const auto &batch : result.batches) {
         EXPECT_TRUE(std::isfinite(batch.waitStddev));
         EXPECT_GE(batch.waitStddev, 0.0);

@@ -2,18 +2,19 @@
  * @file
  * Tests for the protocol registry seam: the descriptor matrix (every
  * registered protocol instantiates, smokes through the runner, and
- * round-trips its spec text), the registry-vs-legacy golden diff, and
- * the spec-string error paths with their did-you-mean hints.
+ * round-trips its spec text), the registry-vs-raw-class golden diff,
+ * and the spec-string error paths with their did-you-mean hints.
  */
 
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/fcfs.hh"
+#include "core/round_robin.hh"
 #include "experiment/protocol_registry.hh"
-#include "experiment/protocols.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
 
@@ -160,8 +161,9 @@ TEST(RegistrySpecCanonicalTest, FamilyAliasesExposeSameProtocols)
 
 TEST(RegistryGoldenDiffTest, RrMatchesLegacyFactoryMetrics)
 {
-    const auto legacy = runScenario(tinyScenario(),
-                                    makeRoundRobinFactory());
+    const auto legacy = runScenario(tinyScenario(), [] {
+        return std::make_unique<RoundRobinProtocol>(RrConfig{});
+    });
     const auto registry = runScenario(
         tinyScenario(), ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_EQ(registry.protocolName, legacy.protocolName);
@@ -175,8 +177,9 @@ TEST(RegistryGoldenDiffTest, FcfsMatchesLegacyFactoryMetrics)
     config.counterBits = 3;
     config.overflow = OverflowPolicy::kWrap;
     config.incrWindow = 0.05;
-    const auto legacy = runScenario(tinyScenario(),
-                                    makeFcfsFactory(config));
+    const auto legacy = runScenario(tinyScenario(), [config] {
+        return std::make_unique<FcfsProtocol>(config);
+    });
     const auto registry = runScenario(
         tinyScenario(), ProtocolRegistry::builtin().fromSpec(
                             "fcfs2:window=0.05,bits=3,wrap"));

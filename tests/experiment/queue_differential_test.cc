@@ -12,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
 
@@ -32,9 +32,11 @@ expectIdenticalRuns(ScenarioConfig config, const std::string &protocol)
 {
     config.captureBinaryTrace = true;
     config.eventQueuePolicy = EventQueuePolicy::kCalendar;
-    const auto calendar = runScenario(config, protocolByKey(protocol));
+    const auto calendar =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec(protocol));
     config.eventQueuePolicy = EventQueuePolicy::kHeap;
-    const auto heap = runScenario(config, protocolByKey(protocol));
+    const auto heap =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec(protocol));
 
     // Byte-identical event trace: same transactions at the same ticks
     // in the same order.
@@ -83,7 +85,8 @@ TEST(QueueDifferentialTest, Table45ResultStillHoldsOnBothKernels)
     for (const auto policy :
          {EventQueuePolicy::kCalendar, EventQueuePolicy::kHeap}) {
         config.eventQueuePolicy = policy;
-        const auto result = runScenario(config, protocolByKey("rr1"));
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
         EXPECT_NEAR(result.throughputRatio(1, 2).value, 0.5, 0.05);
     }
 }

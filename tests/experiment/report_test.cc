@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/report.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
@@ -44,7 +44,8 @@ TEST(ReportTest, SummaryContainsTheMeasures)
     config.numBatches = 3;
     config.batchSize = 500;
     config.warmup = 500;
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     std::ostringstream os;
     printSummary(result, os);
     const std::string out = os.str();
@@ -61,8 +62,10 @@ TEST(ReportTest, ComparisonListsEveryProtocol)
     config.batchSize = 500;
     config.warmup = 500;
     std::vector<ScenarioResult> results;
-    results.push_back(runScenario(config, protocolByKey("rr1")));
-    results.push_back(runScenario(config, protocolByKey("aap1")));
+    results.push_back(
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1")));
+    results.push_back(
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("aap1")));
     std::ostringstream os;
     printComparison(results, os);
     const std::string out = os.str();

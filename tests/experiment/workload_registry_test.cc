@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "experiment/workload_registry.hh"
 #include "support/temp_path.hh"
@@ -93,7 +93,7 @@ TEST(WorkloadRegistryTest, EverySourceRunsThroughTheRunner)
         config.workloadSpec = text;
         ASSERT_EQ(validateWorkloadRun(config), "") << text;
         const ScenarioResult result =
-            runScenario(config, makeRoundRobinFactory());
+            runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
         EXPECT_EQ(result.workloadSpec, text);
         EXPECT_GT(result.throughput().value, 0.0) << text;
     }
@@ -103,7 +103,7 @@ TEST(WorkloadRegistryTest, OpenLoopObservablesOnlyForOpenSources)
 {
     ScenarioConfig closed = tinyScenario();
     const ScenarioResult closed_result =
-        runScenario(closed, makeRoundRobinFactory());
+        runScenario(closed, ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_FALSE(closed_result.workload.openLoop);
     EXPECT_EQ(closed_result.metrics.counters().count("workload.issued"),
               0u);
@@ -111,7 +111,7 @@ TEST(WorkloadRegistryTest, OpenLoopObservablesOnlyForOpenSources)
     ScenarioConfig open = tinyScenario();
     open.workloadSpec = "open:rate=2";
     const ScenarioResult open_result =
-        runScenario(open, makeRoundRobinFactory());
+        runScenario(open, ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_TRUE(open_result.workload.openLoop);
     EXPECT_GT(open_result.workload.issued, 0u);
     EXPECT_EQ(open_result.metrics.counters().count("workload.issued"),

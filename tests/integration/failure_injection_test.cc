@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
 
@@ -29,7 +29,8 @@ TEST_P(DropoutTest, SurvivorsKeepFullService)
     config.numBatches = 4;
     config.batchSize = 1200;
     config.warmup = 1200;
-    const auto result = runScenario(config, protocolByKey(GetParam()));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec(GetParam()));
     ASSERT_EQ(result.batches.size(), 4u);
     // By the last batch the odd agents carry the whole load.
     const auto &last = result.batches.back();
@@ -56,7 +57,8 @@ TEST_P(DropoutTest, LoneSurvivorIsStillServed)
     config.numBatches = 3;
     config.batchSize = 500;
     config.warmup = 300;
-    const auto result = runScenario(config, protocolByKey(GetParam()));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec(GetParam()));
     const auto &last = result.batches.back();
     EXPECT_GT(last.completions[0], 0u) << GetParam();
     // A lone closed agent cycles think 1 + wait 1.5: half the time on

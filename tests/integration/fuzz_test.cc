@@ -13,7 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "bus/protocol_checker.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "random/rng.hh"
 #include "workload/scenario.hh"
@@ -48,7 +48,7 @@ TEST_P(ProtocolFuzzTest, RandomWorkloadsRespectTheContract)
         config.batchSize = 600;
         config.warmup = 200;
         config.seed = rng.next();
-        auto base_factory = protocolByKey(key);
+        auto base_factory = ProtocolRegistry::builtin().fromSpec(key);
         const auto result = runScenario(config, [&] {
             return std::make_unique<ProtocolChecker>(base_factory());
         });
@@ -94,7 +94,7 @@ TEST_P(PriorityFuzzTest, MixedPriorityTrafficRespectsTheContract)
         config.batchSize = 600;
         config.warmup = 200;
         config.seed = rng.next();
-        auto base = protocolFromSpec(spec);
+        auto base = ProtocolRegistry::builtin().fromSpec(spec);
         const auto result = runScenario(config, [&] {
             return std::make_unique<ProtocolChecker>(base());
         });

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
 
@@ -36,7 +36,8 @@ TEST(ConservationLawTest, MeanWaitIsProtocolIndependent)
     for (const char *key : {"rr1", "fcfs1", "fcfs2", "aap1", "aap2",
                             "hybrid", "central-rr", "central-fcfs",
                             "ticket"}) {
-        const auto result = runScenario(config, protocolByKey(key));
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
         const double w = result.meanWait().value;
         if (reference == 0.0)
             reference = w;
@@ -51,7 +52,8 @@ TEST(WorkConservationTest, SaturatedBusNeverIdles)
     // utilization must still be within a fraction of a percent of 1.
     const auto config = fastScenario(10, 2.5);
     for (const char *key : {"rr1", "rr3", "fcfs1", "aap1", "aap2"}) {
-        const auto result = runScenario(config, protocolByKey(key));
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
         EXPECT_NEAR(result.utilization().value, 1.0, 2e-3) << key;
     }
 }
@@ -60,7 +62,8 @@ TEST(FairnessTest, RoundRobinIsPerfectlyFair)
 {
     const auto config = fastScenario(10, 2.0);
     for (const char *key : {"rr1", "rr2", "rr3", "central-rr"}) {
-        const auto result = runScenario(config, protocolByKey(key));
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
         const Estimate ratio = result.throughputRatio(10, 1);
         EXPECT_NEAR(ratio.value, 1.0, 0.05) << key;
     }
@@ -71,7 +74,8 @@ TEST(FairnessTest, FcfsImpl1SlightBiasTowardHighIdentities)
     // Table 4.1: the simple FCFS implementation favours high identities
     // by at most ~6-9% near saturation — far less than the AAPs.
     const auto config = fastScenario(10, 2.0);
-    const auto result = runScenario(config, protocolByKey("fcfs1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
     const Estimate ratio = result.throughputRatio(10, 1);
     EXPECT_GT(ratio.value, 1.0);
     EXPECT_LT(ratio.value, 1.18);
@@ -82,7 +86,8 @@ TEST(FairnessTest, HybridRemovesFcfsTieBias)
     // The Section 5 hybrid uses RR among same-interval arrivals, so the
     // static-identity bias of plain FCFS disappears.
     const auto config = fastScenario(10, 2.0);
-    const auto result = runScenario(config, protocolByKey("hybrid"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("hybrid"));
     const Estimate ratio = result.throughputRatio(10, 1);
     EXPECT_NEAR(ratio.value, 1.0, 0.06);
 }
@@ -91,7 +96,8 @@ TEST(FairnessTest, AapsAreSubstantiallyUnfair)
 {
     const auto config = fastScenario(10, 5.0);
     for (const char *key : {"aap1", "aap2"}) {
-        const auto result = runScenario(config, protocolByKey(key));
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
         const Estimate ratio = result.throughputRatio(10, 1);
         EXPECT_GT(ratio.value, 1.15) << key;
     }
@@ -103,7 +109,8 @@ TEST(FairnessTest, FixedPriorityStarvesLowIdentities)
     // compare per-agent throughput estimates instead of per-batch
     // ratios.
     const auto config = fastScenario(10, 2.5);
-    const auto result = runScenario(config, protocolByKey("fixed"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fixed"));
     const double high = result.agentThroughput(10).value;
     const double low = result.agentThroughput(1).value;
     EXPECT_GT(high, 3.0 * low + 1e-9);
@@ -118,8 +125,10 @@ TEST(VarianceTest, FcfsHasLowerWaitVarianceThanRr)
     // Sharma & Ahuja: FCFS minimizes waiting-time variance. Table 4.2
     // shows sigma_RR / sigma_FCFS well above 1 at high load.
     const auto config = fastScenario(10, 2.0);
-    const auto rr = runScenario(config, protocolByKey("rr1"));
-    const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+    const auto rr =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
+    const auto fcfs =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
     EXPECT_GT(rr.waitStddev().value, 1.3 * fcfs.waitStddev().value);
     EXPECT_NEAR(rr.meanWait().value, fcfs.meanWait().value,
                 0.05 * rr.meanWait().value);
@@ -133,9 +142,10 @@ TEST(ScheduleEquivalenceTest, DistributedRrEqualsCentralRr)
     config.numBatches = 2;
     config.batchSize = 2000;
     for (const char *key : {"rr1", "rr2"}) {
-        const auto distributed = runScenario(config, protocolByKey(key));
-        const auto central =
-            runScenario(config, protocolByKey("central-rr"));
+        const auto distributed =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
+        const auto central = runScenario(
+            config, ProtocolRegistry::builtin().fromSpec("central-rr"));
         ASSERT_EQ(distributed.batches.size(), central.batches.size());
         for (std::size_t b = 0; b < distributed.batches.size(); ++b) {
             EXPECT_EQ(distributed.batches[b].completions,
@@ -154,12 +164,11 @@ TEST(ScheduleEquivalenceTest, FcfsIncrLineTracksCentralFcfs)
     // FCFS except for same-tick ties; waiting-time statistics must be
     // statistically indistinguishable from the central reference.
     auto config = fastScenario(8, 2.0);
-    FcfsConfig fcfs_config;
-    fcfs_config.strategy = FcfsStrategy::kIncrLine;
-    fcfs_config.incrWindow = 1e-6;
+    const ProtocolRegistry &registry = ProtocolRegistry::builtin();
     const auto distributed =
-        runScenario(config, makeFcfsFactory(fcfs_config));
-    const auto central = runScenario(config, protocolByKey("central-fcfs"));
+        runScenario(config, registry.fromSpec("fcfs2:window=1e-6"));
+    const auto central =
+        runScenario(config, registry.fromSpec("central-fcfs"));
     EXPECT_NEAR(distributed.meanWait().value, central.meanWait().value,
                 0.02 * central.meanWait().value);
     EXPECT_NEAR(distributed.waitStddev().value,
@@ -176,7 +185,8 @@ TEST(WorstCaseTest, JustMissHalvesSlowAgentThroughputAtCvZero)
     config.numBatches = 5;
     config.batchSize = 1500;
     config.warmup = 1500;
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     const Estimate ratio = result.throughputRatio(1, 2);
     EXPECT_NEAR(ratio.value, 0.5, 0.05);
 }
@@ -189,7 +199,8 @@ TEST(WorstCaseTest, SmallVariabilityRestoresFairShare)
     config.numBatches = 5;
     config.batchSize = 1500;
     config.warmup = 1500;
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     const Estimate ratio = result.throughputRatio(1, 2);
     EXPECT_GT(ratio.value, 0.62);
 }
@@ -208,7 +219,8 @@ TEST(FcfsWorstCaseTest, SynchronizedArrivalsCannotPersist)
     config.numBatches = 5;
     config.batchSize = 1500;
     config.warmup = 1500;
-    const auto result = runScenario(config, protocolByKey("fcfs1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
     EXPECT_NEAR(result.throughputRatio(10, 1).value, 1.0, 0.02);
     EXPECT_NEAR(result.agentMeanWait(1).value,
                 result.agentMeanWait(10).value, 0.5);
@@ -217,19 +229,15 @@ TEST(FcfsWorstCaseTest, SynchronizedArrivalsCannotPersist)
 TEST(RetryCostTest, OnlyImpl3AndAap2PayRetryPasses)
 {
     const auto config = fastScenario(8, 1.5);
-    EXPECT_DOUBLE_EQ(
-        runScenario(config, protocolByKey("rr1")).retryPassFraction().value,
-        0.0);
-    EXPECT_DOUBLE_EQ(
-        runScenario(config, protocolByKey("rr2")).retryPassFraction().value,
-        0.0);
-    EXPECT_GT(
-        runScenario(config, protocolByKey("rr3")).retryPassFraction().value,
-        0.0);
-    EXPECT_GT(runScenario(config, protocolByKey("aap2"))
-                  .retryPassFraction()
-                  .value,
-              0.0);
+    const auto retry_fraction = [&](const char *key) {
+        return runScenario(config, ProtocolRegistry::builtin().fromSpec(key))
+            .retryPassFraction()
+            .value;
+    };
+    EXPECT_DOUBLE_EQ(retry_fraction("rr1"), 0.0);
+    EXPECT_DOUBLE_EQ(retry_fraction("rr2"), 0.0);
+    EXPECT_GT(retry_fraction("rr3"), 0.0);
+    EXPECT_GT(retry_fraction("aap2"), 0.0);
 }
 
 TEST(MultiOutstandingTest, FcfsHandlesQueuedTokens)
@@ -237,10 +245,8 @@ TEST(MultiOutstandingTest, FcfsHandlesQueuedTokens)
     ScenarioConfig config = fastScenario(6, 0.9);
     for (auto &traits : config.agents)
         traits.maxOutstanding = 4;
-    FcfsConfig fcfs_config;
-    fcfs_config.strategy = FcfsStrategy::kIncrLine;
-    fcfs_config.maxOutstandingHint = 4;
-    const auto result = runScenario(config, makeFcfsFactory(fcfs_config));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs2:r=4"));
     EXPECT_NEAR(result.utilization().value,
                 result.throughput().value, 1e-9);
     EXPECT_GT(result.throughput().value, 0.8);
@@ -256,7 +262,8 @@ TEST(UnequalLoadTest, LowLoadBandwidthProportionalToDemand)
     config.batchSize = 1500;
     config.warmup = 1500;
     for (const char *key : {"rr1", "fcfs1"}) {
-        const auto result = runScenario(config, protocolByKey(key));
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
         EXPECT_NEAR(result.throughputRatio(1, 2).value, 2.0, 0.25) << key;
     }
 }
@@ -269,8 +276,10 @@ TEST(UnequalLoadTest, SaturationEvensOutRrMoreThanFcfs)
     config.numBatches = 6;
     config.batchSize = 2000;
     config.warmup = 2000;
-    const auto rr = runScenario(config, protocolByKey("rr1"));
-    const auto fcfs = runScenario(config, protocolByKey("fcfs1"));
+    const auto rr =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
+    const auto fcfs =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
     EXPECT_LT(rr.throughputRatio(1, 2).value,
               fcfs.throughputRatio(1, 2).value + 0.02);
     EXPECT_LT(rr.throughputRatio(1, 2).value, 1.5);

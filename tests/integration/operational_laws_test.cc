@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "workload/scenario.hh"
 
@@ -25,7 +25,8 @@ TEST(OperationalLawsTest, LittlesLawAcrossTheClosedSystem)
             config.numBatches = 5;
             config.batchSize = 2000;
             config.warmup = 2000;
-            const auto result = runScenario(config, protocolByKey(key));
+            const auto result =
+                runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
             const double x = result.throughput().value;
             const double r = result.meanWait().value;
             const double z = config.agents[0].meanInterrequest;
@@ -42,7 +43,8 @@ TEST(OperationalLawsTest, UtilizationLawHolds)
     config.numBatches = 5;
     config.batchSize = 2000;
     config.warmup = 2000;
-    const auto result = runScenario(config, protocolByKey("fcfs2"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs2"));
     EXPECT_NEAR(result.utilization().value,
                 result.throughput().value * 1.0, 3e-3);
 }
@@ -58,7 +60,8 @@ TEST(OperationalLawsTest, LittlesLawWithLongerTransactions)
     config.numBatches = 5;
     config.batchSize = 1500;
     config.warmup = 1500;
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     const double x = result.throughput().value;
     const double r = result.meanWait().value;
     const double z = config.agents[0].meanInterrequest;
@@ -74,7 +77,8 @@ TEST(LongRunStabilityTest, SixtyFourAgentsHundredThousandCompletions)
     config.numBatches = 10;
     config.batchSize = 10000;
     config.warmup = 10000;
-    const auto result = runScenario(config, protocolByKey("fcfs1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs1"));
     EXPECT_NEAR(result.utilization().value, 1.0, 1e-3);
     // Saturated asymptote: W ~ N - Z with Z = 31.
     const double z = config.agents[0].meanInterrequest;

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "bus/bus.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "stats/welford.hh"
 #include "workload/closed_agent.hh"
@@ -33,7 +33,7 @@ measure(const std::string &spec, double priority_fraction,
 {
     const int n = 10;
     EventQueue queue;
-    Bus bus(queue, protocolFromSpec(spec)(), n, {});
+    Bus bus(queue, ProtocolRegistry::builtin().fromSpec(spec)(), n, {});
     struct Split : BusObserver
     {
         RunningStats prio;
@@ -115,12 +115,13 @@ TEST(PriorityBehaviorTest, RrWithinPriorityClassStaysFair)
     config.numBatches = 4;
     config.batchSize = 1000;
     config.warmup = 1000;
+    const ProtocolRegistry &registry = ProtocolRegistry::builtin();
     const auto result = runScenario(
-        config, protocolFromSpec("rr1:priority,rr-within-class=true"));
+        config, registry.fromSpec("rr1:priority,rr-within-class=true"));
     EXPECT_NEAR(result.throughputRatio(8, 1).value, 1.0, 0.08);
     // Ignoring RR within the class degrades to identity order.
     const auto unfair = runScenario(
-        config, protocolFromSpec("rr1:priority,rr-within-class=false"));
+        config, registry.fromSpec("rr1:priority,rr-within-class=false"));
     EXPECT_GT(unfair.throughputRatio(8, 1).value, 1.5);
 }
 

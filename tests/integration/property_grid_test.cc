@@ -12,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "stats/autocorrelation.hh"
 #include "workload/scenario.hh"
@@ -44,7 +44,8 @@ TEST_P(ProtocolGridTest, UniversalInvariantsHold)
     config.numBatches = 4;
     config.batchSize = 1000;
     config.warmup = 1000;
-    const auto result = runScenario(config, protocolByKey(c.key));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec(c.key));
 
     // Utilization can never exceed 1 and must match offered load when
     // unsaturated (closed-model self-throttling keeps it slightly
@@ -87,7 +88,8 @@ TEST_P(ProtocolGridTest, FairnessClassHolds)
     config.numBatches = 4;
     config.batchSize = 1500;
     config.warmup = 1500;
-    const auto result = runScenario(config, protocolByKey(c.key));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec(c.key));
     const double ratio =
         result.throughputRatio(c.n, 1).value;
 
@@ -150,7 +152,8 @@ TEST(BatchAdequacyTest, PaperBatchSizesGiveUncorrelatedBatches)
     config.numBatches = 20;
     config.batchSize = 8000;
     config.warmup = 8000;
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     std::vector<double> means;
     for (const auto &b : result.batches)
         means.push_back(b.waitMean);

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "bus/protocol_checker.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "support/protocol_driver.hh"
 #include "workload/scenario.hh"
@@ -25,7 +25,7 @@ class ResetReuseTest : public ::testing::TestWithParam<const char *>
 
 TEST_P(ResetReuseTest, ResetRestoresPristineState)
 {
-    auto protocol = protocolByKey(GetParam())();
+    auto protocol = ProtocolRegistry::builtin().fromSpec(GetParam())();
 
     const auto drive = [&](int n) {
         test::ProtocolDriver driver(*protocol, n); // driver resets
@@ -78,7 +78,7 @@ TEST(SettleTimingFuzzTest, CheckedProtocolsSurviveSettleTiming)
             config.numBatches = 2;
             config.batchSize = 600;
             config.warmup = 300;
-            auto base = protocolByKey(key);
+            auto base = ProtocolRegistry::builtin().fromSpec(key);
             const auto result = runScenario(config, [&] {
                 return std::make_unique<ProtocolChecker>(base());
             });

@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "sim/profiling.hh"
 #include "workload/scenario.hh"
@@ -31,7 +31,8 @@ TEST(RunHealthIntegrationTest, PaperSpecRunConverges)
     config.batchSize = 8000;
     config.warmup = 8000;
     config.monitorHealth = true;
-    const ScenarioResult r = runScenario(config, protocolFromSpec("rr1"));
+    const ScenarioResult r =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     ASSERT_TRUE(r.health.enabled);
     EXPECT_EQ(r.health.batches, 10u);
     EXPECT_EQ(r.health.verdict, ConvergenceVerdict::kConverged)
@@ -52,7 +53,8 @@ TEST(RunHealthIntegrationTest, StarvedRunIsFlagged)
     config.batchSize = 50;
     config.warmup = 1000;
     config.monitorHealth = true;
-    const ScenarioResult r = runScenario(config, protocolFromSpec("rr1"));
+    const ScenarioResult r =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     ASSERT_TRUE(r.health.enabled);
     EXPECT_NE(r.health.verdict, ConvergenceVerdict::kConverged)
         << "starved run judged converged (rel_hw="
@@ -66,7 +68,8 @@ TEST(RunHealthIntegrationTest, DisabledMonitorLeavesResultEmpty)
     config.numBatches = 2;
     config.batchSize = 100;
     config.warmup = 0;
-    const ScenarioResult r = runScenario(config, protocolFromSpec("rr1"));
+    const ScenarioResult r =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_FALSE(r.health.enabled);
     EXPECT_TRUE(r.healthSnapshots.empty());
     EXPECT_FALSE(r.profile.enabled);
@@ -85,8 +88,10 @@ TEST(RunHealthIntegrationTest, SnapshotsAndMetricsAreDeterministic)
     config.warmup = 300;
     config.healthSnapshots = true;
     config.monitorHealth = true;
-    const ScenarioResult a = runScenario(config, protocolFromSpec("rr1"));
-    const ScenarioResult b = runScenario(config, protocolFromSpec("rr1"));
+    const ScenarioResult a =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
+    const ScenarioResult b =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     ASSERT_FALSE(a.healthSnapshots.empty());
     EXPECT_EQ(a.healthSnapshots, b.healthSnapshots);
     EXPECT_EQ(a.health.verdict, b.health.verdict);
@@ -105,8 +110,10 @@ TEST(RunHealthIntegrationTest, ProfilerCountersMatchRun)
     config.batchSize = 200;
     config.warmup = 200;
     config.profile = true;
-    const ScenarioResult a = runScenario(config, protocolFromSpec("rr1"));
-    const ScenarioResult b = runScenario(config, protocolFromSpec("rr1"));
+    const ScenarioResult a =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
+    const ScenarioResult b =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     // Simulation-derived counters are deterministic run to run (the
     // wall-clock fields are host noise and deliberately not compared).
     EXPECT_EQ(a.profile.eventsExecuted, b.profile.eventsExecuted);

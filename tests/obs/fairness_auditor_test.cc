@@ -18,7 +18,7 @@
 #include "baseline/fixed_priority.hh"
 #include "bus/bus.hh"
 #include "bus/trace.hh"
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "obs/fairness_auditor.hh"
 #include "sim/event_queue.hh"
@@ -303,8 +303,10 @@ contrastScenario()
 TEST(FairnessAuditorIntegration, RrHonorsItsBoundWhileAapViolatesIt)
 {
     const ScenarioConfig config = contrastScenario();
-    ScenarioResult rr = runScenario(config, protocolFromSpec("rr1"));
-    ScenarioResult aap = runScenario(config, protocolFromSpec("aap1"));
+    ScenarioResult rr =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
+    ScenarioResult aap =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("aap1"));
 
     EXPECT_EQ(rr.metrics.counter("fairness.bound_violations").value(),
               0u);
@@ -323,8 +325,8 @@ TEST(FairnessAuditorIntegration, SnapshotsIdenticalAcrossJobCounts)
     ScenarioConfig config = contrastScenario();
     config.snapshotEveryUnits = 250.0;
     std::vector<GridJob> grid;
-    grid.push_back({config, protocolFromSpec("rr1")});
-    grid.push_back({config, protocolFromSpec("aap1")});
+    grid.push_back({config, ProtocolRegistry::builtin().fromSpec("rr1")});
+    grid.push_back({config, ProtocolRegistry::builtin().fromSpec("aap1")});
 
     const auto serial = runScenarioGrid(grid, 1);
     const auto parallel = runScenarioGrid(grid, 4);

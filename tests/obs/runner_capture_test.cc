@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "obs/binary_trace.hh"
 #include "obs/fairness_auditor.hh"
@@ -39,7 +39,8 @@ smallConfig(double load)
 TEST(RunnerCapture, TraceDecodesAndCoversTheRun)
 {
     const ScenarioConfig config = smallConfig(2.0);
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     ASSERT_FALSE(result.binaryTrace.empty());
 
     const auto chunks = readTraceChunks(result.binaryTrace);
@@ -111,7 +112,8 @@ TEST(RunnerCapture, OneStreamFeedsEveryObserver)
     config.snapshotEveryUnits = 50.0;
     RecordingSink sink;
     config.tracer = &sink;
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
 
     const auto chunks = readTraceChunks(result.binaryTrace);
     ASSERT_EQ(chunks.size(), 1u);
@@ -161,7 +163,8 @@ TEST(RunnerCapture, DisabledCaptureLeavesTraceEmpty)
 {
     ScenarioConfig config = smallConfig(1.0);
     config.captureBinaryTrace = false;
-    const auto result = runScenario(config, protocolByKey("rr1"));
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_TRUE(result.binaryTrace.empty());
     // Metrics are always populated; they cost one pass at run end.
     EXPECT_FALSE(result.metrics.empty());
@@ -169,7 +172,8 @@ TEST(RunnerCapture, DisabledCaptureLeavesTraceEmpty)
 
 TEST(RunnerCapture, MetricsMatchBatchMeasurements)
 {
-    auto result = runScenario(smallConfig(2.0), protocolByKey("fcfs1"));
+    auto result = runScenario(
+        smallConfig(2.0), ProtocolRegistry::builtin().fromSpec("fcfs1"));
     MetricsRegistry &metrics = result.metrics;
 
     std::uint64_t measured_completions = 0;
@@ -207,7 +211,8 @@ TEST(RunnerCapture, ParallelGridMatchesSerialByteForByte)
     std::vector<GridJob> grid;
     for (const char *key : {"rr1", "fcfs1"}) {
         for (double load : {0.5, 2.0})
-            grid.push_back({smallConfig(load), protocolByKey(key)});
+            grid.push_back({smallConfig(load),
+                            ProtocolRegistry::builtin().fromSpec(key)});
     }
     const auto serial = runScenarioGrid(grid, 1);
     const auto parallel = runScenarioGrid(grid, 4);

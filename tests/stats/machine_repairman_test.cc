@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "stats/machine_repairman.hh"
 #include "workload/scenario.hh"
@@ -83,7 +83,8 @@ TEST(MachineRepairmanCrossCheck, SimulationBracketsTheModel)
         config.numBatches = 5;
         config.batchSize = 2000;
         config.warmup = 2000;
-        const auto sim = runScenario(config, protocolByKey("fcfs2"));
+        const auto sim =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs2"));
         const auto model = machineRepairman(
             10, config.agents[0].meanInterrequest, 1.0);
         EXPECT_NEAR(sim.utilization().value, model.utilization,
@@ -100,7 +101,8 @@ TEST(MachineRepairmanCrossCheck, SimulationBracketsTheModel)
     config.numBatches = 5;
     config.batchSize = 2000;
     config.warmup = 2000;
-    const auto sim = runScenario(config, protocolByKey("fcfs2"));
+    const auto sim =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("fcfs2"));
     const auto model =
         machineRepairman(10, config.agents[0].meanInterrequest, 1.0);
     EXPECT_NEAR(sim.meanWait().value, model.meanResponse, 0.3);

@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "experiment/protocols.hh"
+#include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "obs/binary_trace.hh"
 #include "stats/convergence.hh"
@@ -46,7 +46,7 @@ TEST(OpenWorkloadTest, PoissonWaitMatchesMd1ClosedForm)
     config.bus.arbitrationOverhead = 0.0;
     const double s = config.bus.transactionTime;
     const ScenarioResult result =
-        runScenario(config, makeRoundRobinFactory());
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
 
     const OpenQueueResult det = md1(0.6, s);
     const OpenQueueResult expo = mm1(0.6, s);
@@ -59,8 +59,9 @@ TEST(OpenWorkloadTest, PoissonWaitMatchesMd1ClosedForm)
 
 TEST(OpenWorkloadTest, OfferedAndCarriedRatesAgreeWhenStable)
 {
-    const ScenarioResult result = runScenario(
-        openScenario("open:rate=0.7"), makeRoundRobinFactory());
+    const ScenarioResult result =
+        runScenario(openScenario("open:rate=0.7"),
+                    ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_TRUE(result.workload.openLoop);
     EXPECT_NEAR(result.workload.offeredRate, 0.7, 0.05);
     EXPECT_NEAR(result.workload.carriedRate,
@@ -77,7 +78,7 @@ TEST(OpenWorkloadTest, OverloadRaisesTheSaturationVerdict)
     ScenarioConfig config = openScenario("open:rate=1.3");
     config.monitorHealth = true;
     const ScenarioResult result =
-        runScenario(config, makeRoundRobinFactory());
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_TRUE(result.workload.saturated);
     EXPECT_GT(result.workload.finalBacklog, 1000u);
     EXPECT_EQ(result.health.verdict, ConvergenceVerdict::kSaturated);
@@ -92,7 +93,7 @@ TEST(OpenWorkloadTest, StableRunsKeepTheMeasuredVerdict)
     ScenarioConfig config = openScenario("open:rate=0.5");
     config.monitorHealth = true;
     const ScenarioResult result =
-        runScenario(config, makeRoundRobinFactory());
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_FALSE(result.workload.saturated);
     EXPECT_NE(result.health.verdict, ConvergenceVerdict::kSaturated);
 }
@@ -151,10 +152,10 @@ TEST(TraceWorkloadTest, ReplayDrivesIdenticalArrivalsIntoAnyProtocol)
     // The whole point of record/replay: the arrival schedule is a
     // property of the trace, not of the protocol under test.
     TempTraceFile trace(4000);
-    const ScenarioResult rr =
-        runScenario(traceScenario(trace), makeRoundRobinFactory());
-    const ScenarioResult fcfs =
-        runScenario(traceScenario(trace), makeFcfsFactory());
+    const ScenarioResult rr = runScenario(
+        traceScenario(trace), ProtocolRegistry::builtin().fromSpec("rr1"));
+    const ScenarioResult fcfs = runScenario(
+        traceScenario(trace), ProtocolRegistry::builtin().fromSpec("fcfs1"));
 
     const auto rr_posts = arrivalSchedule(rr);
     const auto fcfs_posts = arrivalSchedule(fcfs);
@@ -186,10 +187,11 @@ TEST(TraceWorkloadTest, ReplayIsByteIdenticalAcrossRunsAndPolicies)
     heap.eventQueuePolicy = EventQueuePolicy::kHeap;
 
     const ScenarioResult a =
-        runScenario(calendar, makeRoundRobinFactory());
+        runScenario(calendar, ProtocolRegistry::builtin().fromSpec("rr1"));
     const ScenarioResult b =
-        runScenario(calendar, makeRoundRobinFactory());
-    const ScenarioResult c = runScenario(heap, makeRoundRobinFactory());
+        runScenario(calendar, ProtocolRegistry::builtin().fromSpec("rr1"));
+    const ScenarioResult c =
+        runScenario(heap, ProtocolRegistry::builtin().fromSpec("rr1"));
 
     EXPECT_EQ(metrics_csv(a), metrics_csv(b));
     EXPECT_EQ(metrics_csv(a), metrics_csv(c));
