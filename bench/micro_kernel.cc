@@ -304,13 +304,13 @@ BM_FullSimulationObserved(benchmark::State &state)
     config.warmup = 1000;
     switch (state.range(0)) {
       case 3:
-        config.auditFairness = true;
+        config.tuning.fairness = true;
         break;
       case 2:
         config.flightRecorderEvents = 256;
         [[fallthrough]];
       case 1:
-        config.captureBinaryTrace = true;
+        config.tuning.captureTrace = true;
         break;
       default:
         break;
@@ -366,8 +366,8 @@ BM_RunHealthMonitored(benchmark::State &state)
     config.numBatches = 2;
     config.batchSize = 5000;
     config.warmup = 1000;
-    config.monitorHealth = state.range(0) >= 1;
-    config.healthSnapshots = state.range(0) >= 2;
+    config.tuning.health = state.range(0) >= 1;
+    config.tuning.healthSnapshots = state.range(0) >= 2;
     for (auto _ : state) {
         auto result =
             runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));

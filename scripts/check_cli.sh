@@ -3,7 +3,8 @@
 #
 #   exit 0  --help and --list-protocols (informational output)
 #   exit 2  usage errors: unknown flags, malformed protocol specs,
-#           malformed scenario files, and flag/scenario conflicts —
+#           malformed scenario files, flag/scenario conflicts, and
+#           numbers that are not finite or out of a flag's range —
 #           always naming the offending token, with a did-you-mean
 #           hint where one is close
 #
@@ -157,6 +158,69 @@ expect 2 "does not exist" "report out parent dir" \
     --batch-size 100 --out "$missing/report.md"
 expect 2 "perfetto" "trace perfetto parent dir" \
     "$trace" "$tmp/whatever.trace" --perfetto "$missing/t.json"
+
+# Observer knobs are checked once, for every tool that takes them:
+# values an observer cannot use exit 2 naming the flag instead of
+# tripping an assert mid-run (or, for nan, silently recording nothing).
+small="--agents 4 --batches 1 --batch-size 50 --warmup 10"
+for v in -1 0 nan; do
+    expect 2 "health-rel-hw" "sim --health-rel-hw $v" \
+        "$sim" $small --health --health-rel-hw "$v"
+done
+expect 2 "health-lag1" "sim --health-lag1 -2" \
+    "$sim" $small --health --health-lag1 -2
+expect 2 "fairness-window" "sim --fairness-window nan" \
+    "$sim" $small --fairness --fairness-window nan
+expect 2 "snapshot-every" "sim --snapshot-every nan" \
+    "$sim" $small --snapshot-every nan --snapshot-out "$tmp/s.jsonl"
+expect 2 "bypass-bound" "sim --bypass-bound -3" \
+    "$sim" $small --fairness --bypass-bound -3
+
+# busarb_sweep's flag-built spec goes through the same re-check as
+# busarb_sim's, so bad run controls exit 2 instead of aborting or
+# hanging.
+sweep_small="--protocols rr1 --loads 0.5"
+expect 2 "agents" "sweep --agents 0" \
+    "$sweep" $sweep_small --batches 1 --batch-size 50 --agents 0
+expect 2 "cv" "sweep --cv -1" \
+    "$sweep" $sweep_small --batches 1 --batch-size 50 --cv -1
+expect 2 "batches" "sweep --batches 0" \
+    "$sweep" $sweep_small --batch-size 50 --batches 0
+expect 2 "batches" "sweep --batches -2" \
+    "$sweep" $sweep_small --batch-size 50 --batches -2
+expect 2 "batch-size" "sweep --batch-size -1" \
+    "$sweep" $sweep_small --batches 1 --batch-size -1
+
+# Numbers must be finite, and integers that become counts must not be
+# negative.
+expect 2 "load" "sim --load nan" "$sim" $small --load nan
+expect 2 "loads" "sweep --loads nan" \
+    "$sweep" --protocols rr1 --batches 1 --batch-size 50 --loads nan
+expect 2 "window" "sim fcfs2:window=nan" \
+    "$sim" $small --protocol fcfs2:window=nan
+expect 2 "arb-overhead" "sim --arb-overhead inf" \
+    "$sim" $small --arb-overhead inf
+expect 2 "warmup" "sim --warmup -1" \
+    "$sim" --agents 4 --batches 1 --batch-size 50 --warmup -1
+expect 2 "flight-recorder" "sim --flight-recorder -5" \
+    "$sim" $small --flight-recorder -5
+expect 2 "jobs" "sim --jobs -3" "$sim" $small --jobs -3
+expect 2 "jobs" "sweep --jobs -3" \
+    "$sweep" $sweep_small --batches 1 --batch-size 50 --jobs -3
+expect 2 "fleet" "sweep --fleet -3" \
+    "$sweep" $sweep_small --batches 1 --batch-size 50 --shards 2 \
+    --shard-dir "$tmp/fleet" --fleet -3
+
+# Workload shapes the scenario builders cannot make are usage errors
+# too, for flags and scenario files alike.
+expect 2 "load 20" "sim per-agent load >= 1" \
+    "$sim" $small --load 20
+expect 2 "worst-case" "sim worst case with 3 agents" \
+    "$sim" --worst-case --agents 3 --batches 1 --batch-size 50
+
+# The event-queue policy is not a tool option.
+expect 2 "unknown flag --queue" "sim --queue" "$sim" --queue heap
+expect 2 "unknown flag --queue" "sweep --queue" "$sweep" --queue heap
 
 if [ "$fails" -ne 0 ]; then
     echo "FAIL: $fails CLI contract check(s) failed" >&2

@@ -15,12 +15,6 @@
 #      health lines are additionally diffed on their own.
 #   3. A malformed --loads token must exit with status 2 and name the
 #      offending token (regression for the unchecked std::stod abort).
-#   3b. The event-queue storage policy is unobservable: --queue heap
-#      (the reference binary heap) must produce byte-identical CSV,
-#      trace, metrics, and snapshot JSONL to the default calendar
-#      queue. The two implementations share one ordering contract —
-#      (tick, priority, insertion sequence) — and any divergence in
-#      any artifact means one of them broke it (see docs/KERNEL.md).
 #   4. A --grid scenario file describing the same sweep must produce
 #      byte-identical CSV and metrics to the flag invocation — and
 #      itself be --jobs-independent. Both inputs reduce to one
@@ -135,61 +129,6 @@ if ! cmp -s "$tmp/serial-health.jsonl" "$tmp/parallel-health.jsonl"; then
     exit 1
 fi
 
-# Queue-policy determinism: the reference heap implementation must be
-# observationally identical to the calendar queue in every artifact —
-# sweep CSV/trace/metrics and per-run snapshot JSONL alike. (--queue
-# is deliberately absent from the scenario.spec annotation, so the
-# metrics files are comparable byte for byte.)
-"$sweep" --protocols rr1,fcfs1,aap1 --agents 8 --loads 0.5,2,7.5 \
-         --batches 3 --batch-size 400 --jobs 4 --queue heap \
-         --csv "$tmp/heapq.csv" --trace-out "$tmp/heapq.trace" \
-         --metrics-out "$tmp/heapq-metrics.csv" \
-         --timing-csv "$tmp/heapq-timing.csv" --fairness --health \
-         > /dev/null
-
-if ! cmp -s "$tmp/serial.csv" "$tmp/heapq.csv"; then
-    echo "FAIL: --queue heap sweep CSV differs from calendar" >&2
-    diff -u "$tmp/serial.csv" "$tmp/heapq.csv" >&2 || true
-    exit 1
-fi
-if ! cmp -s "$tmp/serial.trace" "$tmp/heapq.trace"; then
-    echo "FAIL: --queue heap binary trace differs from calendar" >&2
-    exit 1
-fi
-if ! cmp -s "$tmp/serial-metrics.csv" "$tmp/heapq-metrics.csv"; then
-    echo "FAIL: --queue heap metrics differ from calendar" >&2
-    diff -u "$tmp/serial-metrics.csv" "$tmp/heapq-metrics.csv" \
-        >&2 || true
-    exit 1
-fi
-
-"$sim" --protocol rr1 --compare aap1 --agents 8 --load 7.6 \
-       --batches 2 --batch-size 400 --warmup 400 --jobs 4 \
-       --queue heap --snapshot-out "$tmp/heapq.jsonl" \
-       --snapshot-every 100 --health > /dev/null
-if ! cmp -s "$tmp/serial.jsonl" "$tmp/heapq.jsonl"; then
-    echo "FAIL: --queue heap snapshot JSONL differs from calendar" >&2
-    diff -u "$tmp/serial.jsonl" "$tmp/heapq.jsonl" >&2 || true
-    exit 1
-fi
-
-# A bad --queue token must be rejected with exit 2, naming the token.
-set +e
-"$sim" --protocol rr1 --agents 4 --batches 1 --batch-size 100 \
-       --warmup 0 --queue splay > "$tmp/badqueue.out" 2>&1
-code=$?
-set -e
-if [ "$code" -ne 2 ]; then
-    echo "FAIL: bad --queue token exited with $code, expected 2" >&2
-    cat "$tmp/badqueue.out" >&2
-    exit 1
-fi
-if ! grep -q "splay" "$tmp/badqueue.out"; then
-    echo "FAIL: error message does not name the bad queue token" >&2
-    cat "$tmp/badqueue.out" >&2
-    exit 1
-fi
-
 # Grid-file sweeps: the declarative twin of a flag invocation must be
 # byte-identical to it, at any job count.
 cat > "$tmp/sweep.grid" <<'EOF'
@@ -287,8 +226,8 @@ if ! grep -q "bogus" "$tmp/bad.out"; then
 fi
 
 # 6. Open-loop workload sources flow through the same determinism
-#    contract: an MMPP sweep must be byte-identical across --jobs,
-#    --queue policies, and --shards in every artifact.
+#    contract: an MMPP sweep must be byte-identical across --jobs
+#    and --shards in every artifact.
 "$sweep" --protocols rr1,fcfs1 --agents 8 \
          --source open:dist=mmpp,burst=4,gap=8 --loads 0.5,0.8 \
          --batches 3 --batch-size 400 --fairness --health --jobs 1 \
@@ -297,7 +236,7 @@ fi
 "$sweep" --protocols rr1,fcfs1 --agents 8 \
          --source open:dist=mmpp,burst=4,gap=8 --loads 0.5,0.8 \
          --batches 3 --batch-size 400 --fairness --health --jobs 8 \
-         --queue heap --csv "$tmp/open8.csv" \
+         --csv "$tmp/open8.csv" \
          --trace-out "$tmp/open8.trace" \
          --metrics-out "$tmp/open8-metrics.csv" > /dev/null
 "$sweep" --protocols rr1,fcfs1 --agents 8 \
@@ -333,7 +272,7 @@ if ! grep -q "source = open:dist=mmpp" "$tmp/open1-metrics.csv"; then
 fi
 
 # 7. Trace replay: record a binary capture, then replaying it must be
-#    byte-identical across --jobs, --queue, and --shards too — and the
+#    byte-identical across --jobs and --shards too — and the
 #    replayed arrival schedule is protocol-independent by construction,
 #    so the sweep's CSV rows label the loadless axis with "-".
 "$sweep" --protocols rr1 --agents 8 --loads 1.5 --batches 3 \
@@ -345,7 +284,7 @@ replay_spec="trace:file=$tmp/capture.trace,format=binary"
          --csv "$tmp/replay1.csv" \
          --metrics-out "$tmp/replay1-metrics.csv" > /dev/null
 "$sweep" --protocols rr1,fcfs1 --agents 8 --source "$replay_spec" \
-         --batches 2 --batch-size 200 --jobs 8 --queue heap \
+         --batches 2 --batch-size 200 --jobs 8 \
          --csv "$tmp/replay8.csv" \
          --metrics-out "$tmp/replay8-metrics.csv" > /dev/null
 "$sweep" --protocols rr1,fcfs1 --agents 8 --source "$replay_spec" \
@@ -385,6 +324,6 @@ if [ "$code" -ne 2 ]; then
 fi
 
 echo "ok: parallel and sharded sweep CSV, trace, metrics, and" \
-     "fairness/health snapshots byte-identical to serial and across" \
-     "--queue policies (closed, open-loop, and trace-replay sources);" \
-     "bad tokens rejected with exit 2"
+     "fairness/health snapshots byte-identical to serial (closed," \
+     "open-loop, and trace-replay sources); bad tokens rejected with" \
+     "exit 2"

@@ -35,9 +35,8 @@ namespace {
  * comparison against the expected rendering is the whole resume
  * validation: the text embeds the fingerprint, the canonical scenario,
  * and the canonical tuning key, so any observable difference — and
- * only an observable difference — makes it mismatch. (The queue
- * policy and job counts are absent on purpose: a resume may change
- * them.)
+ * only an observable difference — makes it mismatch. (Job counts
+ * are absent on purpose: a resume may change them.)
  */
 std::string
 renderGridSpec(std::uint64_t fingerprint, std::size_t cells,
@@ -205,7 +204,7 @@ runShardedSweep(const ScenarioSpec &spec, const SweepTuning &tuning,
         ioExit(program, "cannot write '" + grid_path + "'");
 
     // Task files are derived state; (re)write them every run so a
-    // resume picks up runtime-only changes (e.g. --queue).
+    // resume picks up a changed task-file format version.
     for (const ShardRange &shard : plan) {
         const std::string path =
             shardFilePath(opts.shardDir, shard.index);

@@ -17,26 +17,6 @@ namespace busarb {
 
 namespace {
 
-const char *
-queueToken(EventQueuePolicy policy)
-{
-    return policy == EventQueuePolicy::kHeap ? "heap" : "calendar";
-}
-
-bool
-parseQueueToken(const std::string &token, EventQueuePolicy &out)
-{
-    if (token == "calendar") {
-        out = EventQueuePolicy::kCalendar;
-        return true;
-    }
-    if (token == "heap") {
-        out = EventQueuePolicy::kHeap;
-        return true;
-    }
-    return false;
-}
-
 /** Consume "<key> " at the start of `line`, leaving the value. */
 bool
 takeKeyword(const std::string &line, const std::string &key,
@@ -83,7 +63,6 @@ renderShardFile(std::uint64_t fingerprint, std::size_t shard,
        << "shard " << shard << "\n"
        << "begin " << begin << "\n"
        << "end " << end << "\n"
-       << "queue " << queueToken(tuning.queuePolicy) << "\n"
        << "tuning " << tuning.canonicalKey() << "\n"
        << "scenario\n"
        << scenario_text;
@@ -95,69 +74,54 @@ parseTuningKey(const std::string &text, SweepTuning &out,
                std::string &error)
 {
     SweepTuning tuning;
-    tuning.queuePolicy = out.queuePolicy; // not part of the key
-    bool seen[9] = {};
     std::istringstream is(text);
     std::string field;
     while (std::getline(is, field, ';')) {
         const std::size_t eq = field.find('=');
-        if (eq == std::string::npos) {
-            error = "tuning field '" + field + "' has no value";
-            return false;
-        }
         const std::string key = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-        const auto boolValue = [&](bool &target, std::size_t slot) {
-            if (value != "0" && value != "1")
-                return false;
+        const std::string value =
+            eq == std::string::npos ? "" : field.substr(eq + 1);
+        const auto flag = [&](bool &target) {
             target = value == "1";
-            seen[slot] = true;
-            return true;
+            return value == "0" || value == "1";
         };
-        const auto doubleValue = [&](double &target, std::size_t slot) {
-            if (!parseDouble(value, target))
-                return false;
-            seen[slot] = true;
-            return true;
-        };
+        long bound = 0;
         bool ok = false;
         if (key == "trace") {
-            ok = boolValue(tuning.captureTrace, 0);
+            ok = flag(tuning.captureTrace);
         } else if (key == "fairness") {
-            ok = boolValue(tuning.fairness, 1);
+            ok = flag(tuning.fairness);
         } else if (key == "fairness-window") {
-            ok = doubleValue(tuning.fairnessWindow, 2);
+            ok = parseDouble(value, tuning.fairnessWindow);
         } else if (key == "bypass-bound") {
-            long bound = 0;
-            ok = parseLong(value, bound);
-            if (ok) {
-                tuning.bypassBound = static_cast<int>(bound);
-                seen[3] = true;
-            }
+            ok = parseLong(value, bound) &&
+                 bound == static_cast<int>(bound);
+            tuning.bypassBound = static_cast<int>(bound);
         } else if (key == "health") {
-            ok = boolValue(tuning.health, 4);
+            ok = flag(tuning.health);
         } else if (key == "health-rel-hw") {
-            ok = doubleValue(tuning.healthRelHw, 5);
+            ok = parseDouble(value, tuning.healthRelHw);
         } else if (key == "health-lag1") {
-            ok = doubleValue(tuning.healthLag1, 6);
+            ok = parseDouble(value, tuning.healthLag1);
         } else if (key == "snapshot-every") {
-            ok = doubleValue(tuning.snapshotEvery, 7);
+            ok = parseDouble(value, tuning.snapshotEvery);
         } else if (key == "health-snapshots") {
-            ok = boolValue(tuning.healthSnapshots, 8);
-        } else {
-            error = "unknown tuning field '" + key + "'";
-            return false;
+            ok = flag(tuning.healthSnapshots);
         }
         if (!ok) {
-            error = "malformed tuning value in '" + field + "'";
+            error = "bad tuning field '" + field + "'";
             return false;
         }
     }
-    for (const bool s : seen) {
-        if (!s) {
-            error = "incomplete tuning key '" + text + "'";
-            return false;
-        }
+    // Re-rendering catches missing, repeated and reordered fields.
+    if (tuning.canonicalKey() != text) {
+        error = "tuning key '" + text + "' is not canonical";
+        return false;
+    }
+    const std::string value_error = tuningError(tuning);
+    if (!value_error.empty()) {
+        error = "tuning " + value_error;
+        return false;
     }
     out = tuning;
     return true;
@@ -197,11 +161,6 @@ parseShardFile(const std::string &text, ShardTask &out, std::string &error)
     if (!std::getline(is, line) || !takeKeyword(line, "end", value) ||
         !parseSize(value, task.end)) {
         error = "bad end line";
-        return false;
-    }
-    if (!std::getline(is, line) || !takeKeyword(line, "queue", value) ||
-        !parseQueueToken(value, task.tuning.queuePolicy)) {
-        error = "bad queue line";
         return false;
     }
     if (!std::getline(is, line) || !takeKeyword(line, "tuning", value) ||

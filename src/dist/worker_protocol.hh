@@ -5,7 +5,7 @@
  *
  * A shard task file is the complete, self-contained description of one
  * shard's work — sweep fingerprint, cell range, canonical tuning key,
- * queue policy, and the canonical scenario text. A worker needs nothing
+ * and the canonical scenario text. A worker needs nothing
  * else: it re-parses the scenario, re-derives the fingerprint, and
  * refuses (exit 2) if its derivation disagrees with the file, so a
  * coordinator and worker built from diverging sources can never
@@ -13,12 +13,11 @@
  *
  * Format (line-oriented; the scenario section runs to EOF):
  *
- *     busarb-shard v1
+ *     busarb-shard v2
  *     fingerprint <16 hex digits>
  *     shard <index>
  *     begin <cell>
  *     end <cell>
- *     queue <calendar|heap>
  *     tuning <SweepTuning::canonicalKey() text>
  *     scenario
  *     <ScenarioSpec::format() text ...>
@@ -40,8 +39,8 @@
 
 namespace busarb {
 
-/** Shard task file format version. */
-inline constexpr std::uint32_t kShardFileVersion = 1;
+/** Shard task file format version (v1 had a `queue` line). */
+inline constexpr std::uint32_t kShardFileVersion = 2;
 
 /** One worker's parsed task: everything a shard run needs. */
 struct ShardTask
@@ -61,7 +60,7 @@ struct ShardTask
     /** Parsed scenario spec. */
     ScenarioSpec spec;
 
-    /** Parsed per-cell tuning (including the queue policy). */
+    /** Parsed per-cell tuning. */
     SweepTuning tuning;
 };
 
@@ -73,8 +72,7 @@ struct ShardTask
  * @param begin First cell of the shard.
  * @param end One past the last cell of the shard.
  * @param scenario_text Canonical scenario text (ScenarioSpec::format).
- * @param tuning Per-cell tuning; its canonicalKey and queue policy are
- *        embedded.
+ * @param tuning Per-cell tuning; its canonicalKey is embedded.
  * @return The file text.
  */
 std::string renderShardFile(std::uint64_t fingerprint, std::size_t shard,
@@ -101,10 +99,10 @@ bool parseShardFile(const std::string &text, ShardTask &out,
  * t.canonicalKey().
  *
  * @param text The canonical key text.
- * @param out Receives the tuning on success (queue policy untouched —
- *        it is not part of the key).
+ * @param out Receives the tuning on success.
  * @param error Receives a diagnostic on failure.
- * @retval false Unknown field, missing field, or malformed value.
+ * @retval false Unknown field, missing field, malformed value, or a
+ *         value tuningError (experiment/sweep_cells.hh) rejects.
  */
 bool parseTuningKey(const std::string &text, SweepTuning &out,
                     std::string &error);

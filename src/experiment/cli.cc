@@ -1,7 +1,10 @@
 #include "experiment/cli.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -17,8 +20,9 @@ parseLong(const std::string &text, long &out)
     if (text.empty())
         return false;
     char *end = nullptr;
+    errno = 0;
     const long value = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE)
         return false;
     out = value;
     return true;
@@ -31,7 +35,7 @@ parseDouble(const std::string &text, double &out)
         return false;
     char *end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(value))
         return false;
     out = value;
     return true;
@@ -111,9 +115,12 @@ ArgParser::addStringFlag(const std::string &name,
 
 void
 ArgParser::addIntFlag(const std::string &name, long default_value,
-                      const std::string &help)
+                      const std::string &help, long min_value,
+                      long max_value)
 {
     declare(name, Kind::kInt, std::to_string(default_value), help);
+    flags_[name].minValue = min_value;
+    flags_[name].maxValue = max_value;
 }
 
 void
@@ -144,6 +151,16 @@ ArgParser::validate(const std::string &name, Flag &flag,
         if (!parseLong(value, parsed)) {
             std::cerr << program_ << ": --" << name
                       << " expects an integer, got '" << value << "'\n";
+            return false;
+        }
+        if (parsed < flag.minValue || parsed > flag.maxValue) {
+            std::cerr << program_ << ": --" << name << " must be ";
+            if (flag.maxValue == std::numeric_limits<long>::max())
+                std::cerr << ">= " << flag.minValue;
+            else
+                std::cerr << "in [" << flag.minValue << ", "
+                          << flag.maxValue << "]";
+            std::cerr << ", got '" << value << "'\n";
             return false;
         }
         break;

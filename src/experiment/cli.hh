@@ -10,6 +10,7 @@
 #ifndef BUSARB_EXPERIMENT_CLI_HH
 #define BUSARB_EXPERIMENT_CLI_HH
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,7 +22,8 @@ namespace busarb {
  *
  * @param text The candidate text.
  * @param out Receives the value on success.
- * @retval false Empty input, trailing garbage, or no digits.
+ * @retval false Empty input, trailing garbage, no digits, or a value
+ *         outside the range of long.
  */
 bool parseLong(const std::string &text, long &out);
 
@@ -30,7 +32,8 @@ bool parseLong(const std::string &text, long &out);
  *
  * @param text The candidate text.
  * @param out Receives the value on success.
- * @retval false Empty input, trailing garbage, or no number.
+ * @retval false Empty input, trailing garbage, no number, or a value
+ *         that is not finite (nan, inf, or an overflow).
  */
 bool parseDouble(const std::string &text, double &out);
 
@@ -107,9 +110,15 @@ class ArgParser
                        const std::string &default_value,
                        const std::string &help);
 
-    /** Declare an integer flag. */
+    /**
+     * Declare an integer flag whose values must lie in [min_value,
+     * max_value]; parse() rejects others (exit 2, naming the flag), so
+     * a value can be cast to an unsigned or narrower type safely.
+     */
     void addIntFlag(const std::string &name, long default_value,
-                    const std::string &help);
+                    const std::string &help,
+                    long min_value = std::numeric_limits<long>::min(),
+                    long max_value = std::numeric_limits<long>::max());
 
     /** Declare a floating-point flag. */
     void addDoubleFlag(const std::string &name, double default_value,
@@ -164,6 +173,8 @@ class ArgParser
         std::string value; // current (default or parsed), as text
         std::string defaultValue;
         bool explicitlySet = false;
+        long minValue = std::numeric_limits<long>::min();
+        long maxValue = std::numeric_limits<long>::max();
     };
 
     std::string program_;

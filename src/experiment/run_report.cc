@@ -352,7 +352,7 @@ renderReport(ReportSink &sink, const ScenarioConfig &config,
                    rows);
     }
 
-    if (config.auditFairness || config.snapshotEveryUnits > 0.0) {
+    if (config.tuning.fairness || config.tuning.snapshotEvery > 0.0) {
         sink.heading("Fairness");
         // The registry has no const accessors; read from a copy.
         MetricsRegistry m = result.metrics;

@@ -33,7 +33,7 @@ enum class RunReportFormat {
  * Render one run's report.
  *
  * The convergence verdict leads the document when the run carried the
- * health monitor (ScenarioConfig::monitorHealth); the latency
+ * health monitor (ScenarioConfig::tuning.health); the latency
  * breakdown section appears when a binary trace was captured; the
  * fairness section when the auditor was attached.
  *

@@ -172,7 +172,7 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
     std::unique_ptr<BinaryTraceWriter> trace_writer;
     std::unique_ptr<FlightRecorder> recorder;
     std::unique_ptr<ScopedFlightRecorderDump> panic_dump;
-    if (config.captureBinaryTrace) {
+    if (config.tuning.captureTrace) {
         trace_writer = std::make_unique<BinaryTraceWriter>(
             config.numAgents, protocol_name);
         bus.addTraceSink(trace_writer.get());
@@ -184,12 +184,12 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
         bus.addTraceSink(recorder.get());
     }
     std::unique_ptr<FairnessAuditor> auditor;
-    if (config.auditFairness || config.snapshotEveryUnits > 0.0) {
+    if (config.tuning.fairness || config.tuning.snapshotEvery > 0.0) {
         FairnessAuditorConfig fc;
         fc.numAgents = config.numAgents;
-        fc.windowTicks = unitsToTicks(config.fairnessWindowUnits);
-        fc.bypassBound = config.bypassBound;
-        fc.snapshotEveryTicks = unitsToTicks(config.snapshotEveryUnits);
+        fc.windowTicks = unitsToTicks(config.tuning.fairnessWindow);
+        fc.bypassBound = config.tuning.bypassBound;
+        fc.snapshotEveryTicks = unitsToTicks(config.tuning.snapshotEvery);
         fc.label = protocol_name;
         auditor = std::make_unique<FairnessAuditor>(fc);
         bus.addTraceSink(auditor.get());
@@ -200,13 +200,13 @@ runScenario(const ScenarioConfig &config, const ProtocolFactory &factory)
                                config.histBins);
 
     std::unique_ptr<RunHealthMonitor> health;
-    if (config.monitorHealth || config.healthSnapshots) {
+    if (config.tuning.health || config.tuning.healthSnapshots) {
         RunHealthConfig hc;
         hc.convergence.confidence = config.confidence;
-        hc.convergence.relHalfWidthTarget = config.healthRelHwTarget;
-        hc.convergence.lag1Threshold = config.healthLag1Threshold;
+        hc.convergence.relHalfWidthTarget = config.tuning.healthRelHw;
+        hc.convergence.lag1Threshold = config.tuning.healthLag1;
         hc.label = protocol_name;
-        hc.snapshots = config.healthSnapshots;
+        hc.snapshots = config.tuning.healthSnapshots;
         health = std::make_unique<RunHealthMonitor>(hc);
     }
 

@@ -135,7 +135,7 @@ struct ScenarioResult
 
     /**
      * Binary event trace of the run; empty unless
-     * ScenarioConfig::captureBinaryTrace was set. Decode with
+     * ScenarioConfig::tuning.captureTrace was set. Decode with
      * readTraceChunks (obs/binary_trace.hh) or feed to busarb_trace.
      */
     std::vector<std::uint8_t> binaryTrace;
@@ -157,7 +157,7 @@ struct ScenarioResult
 
     /**
      * Fairness snapshot JSONL (obs/fairness_auditor.hh); empty unless
-     * ScenarioConfig::snapshotEveryUnits was set. Keyed purely to
+     * ScenarioConfig::tuning.snapshotEvery was set. Keyed purely to
      * simulated time, so the text is byte-identical at any --jobs
      * count.
      */
@@ -165,7 +165,7 @@ struct ScenarioResult
 
     /**
      * Run-health diagnosis (obs/run_health.hh); enabled only when
-     * ScenarioConfig::monitorHealth was set. The verdict and every
+     * ScenarioConfig::tuning.health was set. The verdict and every
      * diagnostic are pure functions of the batch series, so they are
      * identical at any --jobs count.
      */
@@ -173,7 +173,7 @@ struct ScenarioResult
 
     /**
      * Per-batch health snapshot JSONL, keyed to simulated time; empty
-     * unless ScenarioConfig::healthSnapshots was set.
+     * unless ScenarioConfig::tuning.healthSnapshots was set.
      */
     std::string healthSnapshots;
 

@@ -1,13 +1,17 @@
 #include "experiment/scenario_spec.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "experiment/cli.hh"
 #include "experiment/protocol_registry.hh"
+#include "experiment/runner.hh"
+#include "experiment/sweep_cells.hh"
 #include "experiment/workload_registry.hh"
 #include "obs/export_format.hh"
 #include "sim/logging.hh"
@@ -15,6 +19,9 @@
 namespace busarb {
 
 namespace {
+
+/** Upper bound for integer flags stored as int. */
+constexpr long kIntMax = std::numeric_limits<int>::max();
 
 std::string
 trim(const std::string &s)
@@ -463,6 +470,34 @@ parseScenarioSpec(const std::string &text, ScenarioSpec &out,
                 "workload fixes its own rates)";
         return false;
     }
+    if (spec.family == "unequal" && spec.agents < 2) {
+        error = "family 'unequal' needs at least 2 agents";
+        return false;
+    }
+    if (spec.family == "worst-case" && spec.agents < 5) {
+        error = "family 'worst-case' needs at least 5 agents (the "
+                "Table 4.5 rates are n - 3.6 and n - 0.5)";
+        return false;
+    }
+    // Every load must give each agent an offered load in (0, 1): that
+    // is what the equal and unequal families can build.
+    for (const auto &token : spec.loadTokens) {
+        double load = 0.0;
+        if (!parseDouble(token, load))
+            continue; // expandLoadToken already validated
+        const double per_agent = load / spec.agents;
+        const double peak =
+            spec.family == "unequal"
+                ? std::max(per_agent, per_agent * spec.unequalFactor)
+                : per_agent;
+        if (!(per_agent > 0.0 && peak < 1.0)) {
+            error = "load " + token + " with " +
+                    std::to_string(spec.agents) +
+                    " agents puts an agent's offered load outside "
+                    "(0, 1)";
+            return false;
+        }
+    }
     if (!spec.sourceTakesLoads() && !spec.loadTokens.empty()) {
         error = "workload source '" + spec.source +
                 "' takes no loads (it fixes its own arrival schedule)";
@@ -527,7 +562,7 @@ addScenarioFlags(ArgParser &parser)
                          "read the workload/bus/run description from "
                          "this scenario file (see docs/PROTOCOLS.md); "
                          "conflicts with the flags below");
-    parser.addIntFlag("agents", 10, "number of agents (1..N)");
+    parser.addIntFlag("agents", 10, "number of agents (1..N)", 1, kIntMax);
     parser.addDoubleFlag("load", 2.0, "total offered load");
     parser.addDoubleFlag("cv", 1.0,
                          "inter-request coefficient of variation");
@@ -538,19 +573,21 @@ addScenarioFlags(ArgParser &parser)
                          "agent 1's load multiplier (Table 4.4); 0 "
                          "disables");
     parser.addIntFlag("max-outstanding", 1,
-                      "outstanding requests per agent (FCFS r > 1)");
+                      "outstanding requests per agent (FCFS r > 1)", 1,
+                      kIntMax);
     parser.addStringFlag("source", "closed",
                          "workload-source spec (see --list-workloads): "
                          "closed, open:..., onoff:..., trace:...");
     parser.addIntFlag("hot-agents", 0,
                       "first K agents offer --hot-factor times the "
-                      "per-agent base load (family equal); 0 disables");
+                      "per-agent base load (family equal); 0 disables",
+                      0, kIntMax);
     parser.addDoubleFlag("hot-factor", 0.0,
                          "hot agents' per-agent load multiplier");
-    parser.addIntFlag("batches", 10, "measurement batches");
-    parser.addIntFlag("batch-size", 8000, "completions per batch");
-    parser.addIntFlag("warmup", 8000, "warm-up completions discarded");
-    parser.addIntFlag("seed", 0x5eedcafe, "random seed");
+    parser.addIntFlag("batches", 10, "measurement batches", 1, kIntMax);
+    parser.addIntFlag("batch-size", 8000, "completions per batch", 1);
+    parser.addIntFlag("warmup", 8000, "warm-up completions discarded", 0);
+    parser.addIntFlag("seed", 0x5eedcafe, "random seed", 0);
     parser.addDoubleFlag("arb-overhead", 0.5,
                          "arbitration overhead, transaction times");
     parser.addBoolFlag("settle-timing", false,
@@ -559,29 +596,6 @@ addScenarioFlags(ArgParser &parser)
     parser.addBoolFlag("worst-case-settle", false,
                        "budget ceil(k/2) propagations per pass "
                        "(synchronous bus)");
-}
-
-void
-addQueueFlag(ArgParser &parser)
-{
-    parser.addStringFlag("queue", "calendar",
-                         "event-queue storage policy: calendar (the "
-                         "fast default) or heap (the reference "
-                         "implementation); results are bit-identical "
-                         "either way");
-}
-
-EventQueuePolicy
-queuePolicyOrExit(const std::string &program, const ArgParser &parser)
-{
-    const std::string token = parser.getString("queue");
-    if (token == "calendar")
-        return EventQueuePolicy::kCalendar;
-    if (token == "heap")
-        return EventQueuePolicy::kHeap;
-    std::cerr << program << ": --queue must be 'calendar' or 'heap', "
-              << "got '" << token << "'\n";
-    std::exit(2);
 }
 
 ScenarioSpec
@@ -645,16 +659,171 @@ scenarioSpecFromFlags(const std::string &program,
         spec.loadTokens.push_back(
             formatDouble(parser.getDouble("load")));
     }
+    validateSpecOrExit(program, spec);
+    return spec;
+}
 
-    // Re-run the file-level validation on the flag-built spec so both
-    // construction paths reject the same contradictions identically.
+void
+validateSpecOrExit(const std::string &program, const ScenarioSpec &spec)
+{
     ScenarioSpec validated;
     std::string error;
     if (!parseScenarioSpec(spec.format(), validated, error)) {
         std::cerr << program << ": " << error << "\n";
         std::exit(2);
     }
-    return spec;
+}
+
+void
+addObserverFlags(ArgParser &parser)
+{
+    parser.addStringFlag("trace-out", "",
+                         "capture a binary event trace of every run to "
+                         "this file (decode with busarb_trace)");
+    parser.addStringFlag("metrics-out", "",
+                         "write merged run metrics to this file (.json "
+                         "for JSON, anything else for CSV)");
+    parser.addBoolFlag("fairness", false,
+                       "attach the fairness auditor: bypass counts "
+                       "against the N-1 bound, starvation, Jain indices");
+    parser.addDoubleFlag("fairness-window", 50.0,
+                         "fairness window width, transaction units");
+    parser.addIntFlag("bypass-bound", 0,
+                      "audited bypass bound per grant (0 = the paper's "
+                      "RR guarantee, N-1)",
+                      0, kIntMax);
+    parser.addStringFlag("snapshot-out", "",
+                         "write fairness/health snapshots (JSONL) to "
+                         "this file; requires --snapshot-every and/or "
+                         "--health");
+    parser.addDoubleFlag("snapshot-every", 0.0,
+                         "fairness snapshot interval, transaction units");
+    parser.addBoolFlag("health", false,
+                       "attach the run-health monitor: batch-means "
+                       "convergence verdict per run (health.* metrics)");
+    parser.addBoolFlag("health-strict", false,
+                       "like --health, but exit 3 unless every run "
+                       "converged");
+    parser.addDoubleFlag("health-rel-hw", 0.05,
+                         "relative CI half-width target (the paper's "
+                         "\"within 5%\")");
+    parser.addDoubleFlag("health-lag1", 0.3,
+                         "|lag-1| autocorrelation threshold for "
+                         "batch-mean independence");
+}
+
+SweepTuning
+observerTuningOrExit(const std::string &program, const ArgParser &parser)
+{
+    // Artifact destinations are validated before the run: a missing
+    // parent directory fails in seconds, not after the simulation.
+    for (const char *flag : {"trace-out", "metrics-out", "snapshot-out"})
+        requireParentDirOrExit(program, flag, parser.getString(flag));
+
+    SweepTuning tuning;
+    tuning.captureTrace = !parser.getString("trace-out").empty();
+    tuning.fairnessWindow = parser.getDouble("fairness-window");
+    tuning.bypassBound = static_cast<int>(parser.getInt("bypass-bound"));
+    tuning.health =
+        parser.getBool("health") || parser.getBool("health-strict");
+    tuning.healthRelHw = parser.getDouble("health-rel-hw");
+    tuning.healthLag1 = parser.getDouble("health-lag1");
+    tuning.snapshotEvery = parser.getDouble("snapshot-every");
+    const auto fail = [&](const std::string &message) {
+        std::cerr << program << ": --" << message << "\n";
+        std::exit(2);
+    };
+    const std::string error = tuningError(tuning);
+    if (!error.empty())
+        fail(error);
+    const bool snapshots_out = !parser.getString("snapshot-out").empty();
+    if (!snapshots_out && tuning.snapshotEvery > 0.0)
+        fail("snapshot-every requires --snapshot-out");
+    if (snapshots_out && tuning.snapshotEvery <= 0.0 && !tuning.health)
+        fail("snapshot-out requires --snapshot-every and/or --health");
+    tuning.fairness =
+        parser.getBool("fairness") || tuning.snapshotEvery > 0.0;
+    tuning.healthSnapshots = tuning.health && snapshots_out;
+    return tuning;
+}
+
+bool
+writeObserverOutputs(const ArgParser &parser,
+                     const std::vector<ScenarioResult> &results,
+                     const std::vector<std::string> &labels,
+                     const std::string &scenario_text)
+{
+    const auto written = [](const std::ofstream &out,
+                            const std::string &path) {
+        if (!out)
+            std::cerr << "cannot write " << path << "\n";
+        return static_cast<bool>(out);
+    };
+    const std::string trace_path = parser.getString("trace-out");
+    if (!trace_path.empty()) {
+        std::ofstream out(trace_path, std::ios::binary);
+        std::size_t bytes = 0;
+        for (const auto &r : results) {
+            out.write(reinterpret_cast<const char *>(r.binaryTrace.data()),
+                      static_cast<std::streamsize>(r.binaryTrace.size()));
+            bytes += r.binaryTrace.size();
+        }
+        if (!written(out, trace_path))
+            return false;
+        std::cout << "wrote binary trace (" << results.size()
+                  << " chunk(s), " << bytes << " bytes) to " << trace_path
+                  << "\n";
+    }
+    const std::string snapshot_path = parser.getString("snapshot-out");
+    if (!snapshot_path.empty()) {
+        std::ofstream out(snapshot_path, std::ios::binary);
+        std::size_t lines = 0;
+        for (const auto &r : results) {
+            for (const std::string *s :
+                 {&r.fairnessSnapshots, &r.healthSnapshots}) {
+                out << *s;
+                lines += static_cast<std::size_t>(
+                    std::count(s->begin(), s->end(), '\n'));
+            }
+        }
+        if (!written(out, snapshot_path))
+            return false;
+        std::cout << "wrote " << lines << " snapshot line(s) to "
+                  << snapshot_path << "\n";
+    }
+    const std::string metrics_path = parser.getString("metrics-out");
+    if (!metrics_path.empty()) {
+        MetricsRegistry merged;
+        for (std::size_t i = 0; i < results.size(); ++i)
+            merged.mergeFrom(results[i].metrics, labels[i] + ".");
+        // Canonical provenance: the same annotation text whether the
+        // run came from flags or from a scenario file.
+        merged.setAnnotation("scenario.spec", scenario_text);
+        if (!merged.writeFile(metrics_path)) {
+            std::cerr << "cannot write " << metrics_path << "\n";
+            return false;
+        }
+        std::cout << "wrote metrics to " << metrics_path << "\n";
+    }
+    return true;
+}
+
+int
+healthStrictExitCode(const std::string &program, const ArgParser &parser,
+                     const std::vector<ScenarioResult> &results,
+                     const std::vector<std::string> &labels)
+{
+    if (!parser.getBool("health-strict"))
+        return 0;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const RunHealthReport &health = results[i].health;
+        if (health.verdict != ConvergenceVerdict::kConverged) {
+            std::cerr << program << ": run " << labels[i] << " is "
+                      << health.verdictLabel() << " (--health-strict)\n";
+            return 3;
+        }
+    }
+    return 0;
 }
 
 } // namespace busarb

@@ -55,6 +55,7 @@
 namespace busarb {
 
 class ArgParser;
+struct ScenarioResult;
 
 /** A declarative scenario: workload, bus, run controls, sweep axes. */
 struct ScenarioSpec
@@ -196,26 +197,54 @@ ScenarioSpec scenarioSpecFromFlags(const std::string &program,
                                    const ArgParser &parser);
 
 /**
- * Declare --queue (event-queue storage policy: "calendar" or "heap").
- *
- * Deliberately not part of the ScenarioSpec: the policy is an
- * execution detail with no observable effect on results — both
- * policies are pinned to bit-identical event order — so it must not
- * appear in the `scenario.spec` provenance annotation, which stays
- * byte-identical across policies (check_determinism.sh relies on
- * this).
+ * Re-run the scenario-file validation on a flag-built spec, so flags
+ * and files reject the same contradictions identically (exit 2 with
+ * the parser's message, which names the key and so the flag).
  */
-void addQueueFlag(ArgParser &parser);
+void validateSpecOrExit(const std::string &program,
+                        const ScenarioSpec &spec);
 
 /**
- * Parse --queue into a policy; exits 2 naming the bad token.
- *
- * @param program Tool name for the error message.
- * @param parser Parsed arguments.
- * @return The selected storage policy.
+ * Declare the observer flags shared by busarb_sim and busarb_sweep:
+ * --trace-out, --metrics-out, --fairness, --fairness-window,
+ * --bypass-bound, --snapshot-out, --snapshot-every, --health,
+ * --health-strict, --health-rel-hw, --health-lag1.
  */
-EventQueuePolicy queuePolicyOrExit(const std::string &program,
-                                   const ArgParser &parser);
+void addObserverFlags(ArgParser &parser);
+
+/**
+ * Read the observer flags into a tuning. Exits 2 naming the flag on an
+ * artifact path without a parent directory, a value tuningError
+ * (experiment/sweep_cells.hh) rejects, or --snapshot-every without
+ * --snapshot-out (which in turn needs --snapshot-every or --health).
+ */
+SweepTuning observerTuningOrExit(const std::string &program,
+                                 const ArgParser &parser);
+
+/**
+ * Write what the observer flags ask for, each in result order:
+ * --trace-out (the trace chunks), --snapshot-out (fairness then health
+ * JSONL) and --metrics-out (run i's metrics under "labels[i].", plus
+ * the scenario.spec annotation); each write is reported on stdout.
+ *
+ * @retval false A file could not be written (reported on stderr).
+ */
+bool writeObserverOutputs(const ArgParser &parser,
+                          const std::vector<ScenarioResult> &results,
+                          const std::vector<std::string> &labels,
+                          const std::string &scenario_text);
+
+/**
+ * The --health-strict gate: when the flag is set, name the first run
+ * whose verdict is not converged on stderr.
+ *
+ * @return 3 — reserved for verdict failures, apart from I/O (1) and
+ *         usage (2) errors — or 0.
+ */
+int healthStrictExitCode(const std::string &program,
+                         const ArgParser &parser,
+                         const std::vector<ScenarioResult> &results,
+                         const std::vector<std::string> &labels);
 
 } // namespace busarb
 

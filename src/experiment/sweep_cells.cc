@@ -1,5 +1,6 @@
 #include "experiment/sweep_cells.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -8,17 +9,16 @@
 #include "experiment/protocol_registry.hh"
 #include "experiment/workload_registry.hh"
 #include "obs/export_format.hh"
+#include "sim/types.hh"
 
 namespace busarb {
 
 std::string
 SweepTuning::canonicalKey() const
 {
-    // Every knob with an observable effect on a cell's artifacts, in a
-    // fixed order with locale-independent formatting. The queue policy
-    // is excluded on purpose: it is pinned unobservable (see
-    // docs/KERNEL.md), so resuming a sweep under the other policy must
-    // not invalidate its checkpoints.
+    // Every knob, in a fixed order with locale-independent formatting.
+    // The text is hashed into shard fingerprints, so it may never
+    // change for an unchanged tuning.
     std::ostringstream os;
     os << "trace=" << (captureTrace ? 1 : 0)
        << ";fairness=" << (fairness ? 1 : 0)
@@ -30,6 +30,37 @@ SweepTuning::canonicalKey() const
        << ";snapshot-every=" << formatDouble(snapshotEvery)
        << ";health-snapshots=" << (healthSnapshots ? 1 : 0);
     return os.str();
+}
+
+std::string
+tuningError(const SweepTuning &tuning)
+{
+    // unitsToTicks casts double -> int64, defined only below kMaxTick.
+    const auto in_ticks = [](double units) {
+        return std::isfinite(units) && units >= 0.0 &&
+               units <= static_cast<double>(kMaxTick / kTicksPerUnit) / 2;
+    };
+    const auto positive = [](double v) {
+        return std::isfinite(v) && v > 0.0;
+    };
+    const auto bad = [](const char *key, const char *want, double got) {
+        return std::string(key) + ": must be " + want + ", got " +
+               formatDouble(got);
+    };
+    const double window = tuning.fairnessWindow;
+    if (!in_ticks(window) || unitsToTicks(window) < 1)
+        return bad("fairness-window", "finite and >= 1e-06 (one tick)",
+                   window);
+    if (tuning.bypassBound < 0)
+        return bad("bypass-bound", ">= 0 (0 = N-1)", tuning.bypassBound);
+    if (!positive(tuning.healthRelHw))
+        return bad("health-rel-hw", "finite and > 0", tuning.healthRelHw);
+    if (!positive(tuning.healthLag1))
+        return bad("health-lag1", "finite and > 0", tuning.healthLag1);
+    if (!in_ticks(tuning.snapshotEvery))
+        return bad("snapshot-every", "finite and >= 0",
+                   tuning.snapshotEvery);
+    return "";
 }
 
 ScenarioConfig
@@ -47,16 +78,7 @@ sweepCellConfig(const ScenarioSpec &spec, const SweepTuning &tuning,
         std::cerr << program << ": " << workload_error << "\n";
         std::exit(2);
     }
-    config.captureBinaryTrace = tuning.captureTrace;
-    config.auditFairness = tuning.fairness;
-    config.fairnessWindowUnits = tuning.fairnessWindow;
-    config.bypassBound = tuning.bypassBound;
-    config.monitorHealth = tuning.health;
-    config.healthRelHwTarget = tuning.healthRelHw;
-    config.healthLag1Threshold = tuning.healthLag1;
-    config.snapshotEveryUnits = tuning.snapshotEvery;
-    config.healthSnapshots = tuning.healthSnapshots;
-    config.eventQueuePolicy = tuning.queuePolicy;
+    config.tuning = tuning;
     return config;
 }
 

@@ -11,14 +11,13 @@
  * merged artifacts, so all of them call buildSweepGrid /
  * sweepCellJob here.
  *
- * SweepTuning carries the per-cell observability and run knobs that
- * are not part of the ScenarioSpec (trace capture, fairness auditing,
- * health monitoring, snapshot cadence, event-queue policy).
- * canonicalKey() renders every *observable* knob as stable text; the
- * shard fingerprint hashes it alongside the canonical scenario text so
- * a resumed sweep cannot silently change what its cells would record.
- * The event-queue policy is deliberately excluded: both policies are
- * pinned to bit-identical artifacts, so a resume may switch them.
+ * SweepTuning (workload/scenario.hh) carries the per-run observer
+ * knobs that are not part of the ScenarioSpec (trace capture, fairness
+ * auditing, health monitoring, snapshot cadence); every cell's
+ * ScenarioConfig::tuning is a copy of it. canonicalKey() renders every
+ * knob as stable text; the shard fingerprint hashes it alongside the
+ * canonical scenario text so a resumed sweep cannot silently change
+ * what its cells would record.
  */
 
 #ifndef BUSARB_EXPERIMENT_SWEEP_CELLS_HH
@@ -33,45 +32,14 @@
 
 namespace busarb {
 
-/** Per-cell run/observability knobs shared by every sweep cell. */
-struct SweepTuning
-{
-    /** Capture a binary event trace of every cell. */
-    bool captureTrace = false;
-
-    /** Attach the fairness auditor to every cell. */
-    bool fairness = false;
-
-    /** Fairness window width, transaction units. */
-    double fairnessWindow = 50.0;
-
-    /** Audited bypass bound (0 = the paper's N-1 guarantee). */
-    int bypassBound = 0;
-
-    /** Attach the run-health monitor to every cell. */
-    bool health = false;
-
-    /** Relative CI half-width target for the health verdict. */
-    double healthRelHw = 0.05;
-
-    /** |lag-1| autocorrelation threshold for the health verdict. */
-    double healthLag1 = 0.3;
-
-    /** Fairness snapshot cadence in simulated units (0 = off). */
-    double snapshotEvery = 0.0;
-
-    /** Emit per-batch health snapshot JSONL lines. */
-    bool healthSnapshots = false;
-
-    /** Event-queue storage policy (unobservable; not fingerprinted). */
-    EventQueuePolicy queuePolicy = EventQueuePolicy::kCalendar;
-
-    /**
-     * @return Canonical text of every observable knob, used (with the
-     *         canonical scenario text) to fingerprint a sharded sweep.
-     */
-    std::string canonicalKey() const;
-};
+/**
+ * The one value check on a tuning, for tool flags and shard task files
+ * alike, whether or not the observer is on.
+ *
+ * @return "" when usable, else "<key>: <problem>" naming the offending
+ *         canonicalKey() field (which is also its flag).
+ */
+std::string tuningError(const SweepTuning &tuning);
 
 /**
  * Expand one grid cell into its ScenarioConfig.

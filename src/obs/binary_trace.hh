@@ -19,7 +19,7 @@
  * record, so the stream needs no out-of-band schema.
  *
  * The writer is a TraceSink: attach it to a Bus (or let the scenario
- * runner do it via ScenarioConfig::captureBinaryTrace) and every bus
+ * runner do it via ScenarioConfig::tuning.captureTrace) and every bus
  * event is appended to an in-memory buffer. Because each scenario owns
  * its writer, capture is JobPool-safe and the bytes are identical at
  * any --jobs count.

@@ -17,6 +17,45 @@
 
 namespace busarb {
 
+/**
+ * The per-run observer knobs: what a run records beside its results.
+ * A single run carries one as ScenarioConfig::tuning; a sweep gives
+ * every cell the same one and fingerprints its canonicalKey() (defined
+ * with the sweep-cell assembly, experiment/sweep_cells.cc).
+ */
+struct SweepTuning
+{
+    /** Capture a binary event trace (obs/binary_trace.hh). */
+    bool captureTrace = false;
+
+    /** Attach the fairness auditor (obs/fairness_auditor.hh). */
+    bool fairness = false;
+
+    /** Fairness window width, transaction units. */
+    double fairnessWindow = 50.0;
+
+    /** Audited bypass bound (0 = the paper's N-1 guarantee). */
+    int bypassBound = 0;
+
+    /** Attach the run-health monitor (obs/run_health.hh). */
+    bool health = false;
+
+    /** Relative CI half-width target (the paper's "within 5%"). */
+    double healthRelHw = 0.05;
+
+    /** |lag-1| autocorrelation threshold for batch-mean independence. */
+    double healthLag1 = 0.3;
+
+    /** Fairness snapshot cadence in units (0 = off); implies fairness. */
+    double snapshotEvery = 0.0;
+
+    /** Emit a health snapshot line per batch; implies health. */
+    bool healthSnapshots = false;
+
+    /** @return Canonical text of every knob (the sweep fingerprint's). */
+    std::string canonicalKey() const;
+};
+
 /** Full description of one simulation run. */
 struct ScenarioConfig
 {
@@ -44,10 +83,10 @@ struct ScenarioConfig
 
     /**
      * Event-queue storage policy. kCalendar is the fast default; kHeap
-     * is the reference heap kernel, kept selectable so differential
-     * tests and benchmarks can push the identical scenario through both
-     * implementations (the determinism contract makes every artifact
-     * byte-identical between them).
+     * is the reference heap kernel, selectable only here (no tool has a
+     * flag for it) so differential tests and benchmarks can push the
+     * identical scenario through both implementations (the determinism
+     * contract makes every artifact byte-identical between them).
      */
     EventQueuePolicy eventQueuePolicy = EventQueuePolicy::kCalendar;
 
@@ -77,14 +116,6 @@ struct ScenarioConfig
     TraceSink *tracer = nullptr;
 
     /**
-     * Capture the whole run as a compact binary event trace
-     * (obs/binary_trace.hh); the bytes land in
-     * ScenarioResult::binaryTrace. Each run owns its buffer, so a
-     * parallel grid captures byte-identical traces to a serial one.
-     */
-    bool captureBinaryTrace = false;
-
-    /**
      * Retain the last M bus events in a flight recorder
      * (obs/flight_recorder.hh) and dump them to stderr if the run
      * panics — most usefully on a ProtocolChecker contract violation.
@@ -92,51 +123,8 @@ struct ScenarioConfig
      */
     std::size_t flightRecorderEvents = 0;
 
-    /**
-     * Attach a fairness auditor (obs/fairness_auditor.hh) for the run:
-     * per-agent bypass counts with bound checking, a starvation
-     * watchdog, and windowed Jain indices, exported as fairness.*
-     * metrics in ScenarioResult::metrics.
-     */
-    bool auditFairness = false;
-
-    /** Fairness window width in transaction units. */
-    double fairnessWindowUnits = 50.0;
-
-    /**
-     * Bypass bound audited at each grant; <= 0 selects the paper's RR
-     * guarantee of numAgents - 1.
-     */
-    int bypassBound = 0;
-
-    /**
-     * Emit a deterministic fairness snapshot (JSONL) every this many
-     * transaction units of simulated time into
-     * ScenarioResult::fairnessSnapshots; 0 disables. Implies
-     * auditFairness.
-     */
-    double snapshotEveryUnits = 0.0;
-
-    /**
-     * Attach the run-health monitor (obs/run_health.hh): streaming
-     * batch-means convergence diagnostics (relative CI half-width,
-     * lag-1 autocorrelation, MSER warm-up detection) with a per-run
-     * verdict in ScenarioResult::health and health.* metrics.
-     */
-    bool monitorHealth = false;
-
-    /**
-     * Additionally emit one deterministic health snapshot line (JSONL,
-     * keyed to simulated time) per completed batch into
-     * ScenarioResult::healthSnapshots. Implies monitorHealth.
-     */
-    bool healthSnapshots = false;
-
-    /** Relative CI half-width target (the paper's "within 5%"). */
-    double healthRelHwTarget = 0.05;
-
-    /** |lag-1| threshold for batch-mean independence. */
-    double healthLag1Threshold = 0.3;
+    /** The run's observers (each run owns its own). */
+    SweepTuning tuning;
 
     /**
      * Collect a per-run self-profile (obs/profiler.hh): per-phase

@@ -52,7 +52,6 @@ richTuning()
     tuning.healthLag1 = 0.5;
     tuning.snapshotEvery = 10.0;
     tuning.healthSnapshots = true;
-    tuning.queuePolicy = EventQueuePolicy::kHeap;
     return tuning;
 }
 
@@ -75,7 +74,6 @@ TEST(ShardFile, RenderParseRoundTrip)
     EXPECT_EQ(task.end, 4u);
     EXPECT_EQ(task.spec.format(), scenario);
     EXPECT_EQ(task.tuning.canonicalKey(), tuning.canonicalKey());
-    EXPECT_EQ(task.tuning.queuePolicy, EventQueuePolicy::kHeap);
 }
 
 TEST(ShardFile, RejectsFingerprintMismatch)
@@ -97,12 +95,50 @@ TEST(ShardFile, RejectsVersionMismatch)
     std::string text = renderShardFile(
         sweepFingerprint(spec.format(), tuning.canonicalKey()), 0, 0, 4,
         spec.format(), tuning);
-    const std::size_t v = text.find("busarb-shard v1");
-    ASSERT_NE(v, std::string::npos);
-    text.replace(v, 15, "busarb-shard v9");
+    const std::string header =
+        "busarb-shard v" + std::to_string(kShardFileVersion);
+    ASSERT_EQ(text.rfind(header, 0), 0u);
+    text.replace(0, header.size(), "busarb-shard v9");
     ShardTask task;
     std::string error;
     EXPECT_FALSE(parseShardFile(text, task, error));
+}
+
+TEST(ShardFile, RejectsV1FileWithQueueLine)
+{
+    // The v1 layout, queue line included, as an older coordinator
+    // wrote it; the coordinator rewrites task files on every run, so
+    // only a stale hand-run worker can meet one.
+    const ScenarioSpec spec = tinySpec();
+    const SweepTuning tuning;
+    const std::uint64_t fp =
+        sweepFingerprint(spec.format(), tuning.canonicalKey());
+    const std::string text = "busarb-shard v1\nfingerprint " +
+                             fingerprintHex(fp) +
+                             "\nshard 0\nbegin 0\nend 4\n"
+                             "queue calendar\ntuning " +
+                             tuning.canonicalKey() + "\nscenario\n" +
+                             spec.format();
+    ShardTask task;
+    std::string error;
+    EXPECT_FALSE(parseShardFile(text, task, error));
+    EXPECT_NE(error.find("busarb-shard v2"), std::string::npos) << error;
+}
+
+TEST(ShardFile, RejectsNonFiniteTuningValue)
+{
+    const ScenarioSpec spec = tinySpec();
+    const SweepTuning tuning;
+    std::string text = renderShardFile(
+        sweepFingerprint(spec.format(), tuning.canonicalKey()), 0, 0, 4,
+        spec.format(), tuning);
+    const std::size_t at = text.find("fairness-window=50");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 18, "fairness-window=nan");
+    ShardTask task;
+    std::string error;
+    EXPECT_FALSE(parseShardFile(text, task, error));
+    EXPECT_NE(error.find("fairness-window"), std::string::npos) << error;
 }
 
 TEST(ShardFile, RejectsBadCellRange)
@@ -220,8 +256,7 @@ expectCellMatches(const std::vector<std::uint8_t> &record,
 TEST_F(WorkerShardTest, ProducesBytesIdenticalToInProcessRun)
 {
     const ScenarioSpec spec = tinySpec();
-    SweepTuning tuning = richTuning();
-    tuning.queuePolicy = EventQueuePolicy::kCalendar;
+    const SweepTuning tuning = richTuning();
     writeTask(spec, tuning);
 
     EXPECT_EQ(runWorkerShard("worker_test",
@@ -302,7 +337,8 @@ TEST_F(WorkerShardTest, MalformedTaskFileIsUsageError)
 {
     {
         std::ofstream out(shardFilePath(dir_, 0), std::ios::binary);
-        out << "busarb-shard v1\nfingerprint nothex\n";
+        out << "busarb-shard v" << kShardFileVersion
+            << "\nfingerprint nothex\n";
     }
     EXPECT_EQ(runWorkerShard("worker_test",
                              shardFilePath(dir_, 0), 1),

@@ -6,6 +6,9 @@
  * per-cell assembly.
  */
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "experiment/sweep_cells.hh"
@@ -66,20 +69,11 @@ TEST(SweepCells, TuningKnobsReachTheCellConfig)
     tuning.healthLag1 = 0.4;
     tuning.snapshotEvery = 7.0;
     tuning.healthSnapshots = true;
-    tuning.queuePolicy = EventQueuePolicy::kHeap;
 
     const ScenarioConfig config =
         sweepCellConfig(spec, tuning, "sweep_cells_test", 2);
-    EXPECT_TRUE(config.captureBinaryTrace);
-    EXPECT_TRUE(config.auditFairness);
-    EXPECT_EQ(config.fairnessWindowUnits, 12.5);
-    EXPECT_EQ(config.bypassBound, 4);
-    EXPECT_TRUE(config.monitorHealth);
-    EXPECT_EQ(config.healthRelHwTarget, 0.02);
-    EXPECT_EQ(config.healthLag1Threshold, 0.4);
-    EXPECT_EQ(config.snapshotEveryUnits, 7.0);
-    EXPECT_TRUE(config.healthSnapshots);
-    EXPECT_EQ(config.eventQueuePolicy, EventQueuePolicy::kHeap);
+    EXPECT_EQ(config.tuning.canonicalKey(), tuning.canonicalKey());
+    EXPECT_EQ(config.eventQueuePolicy, EventQueuePolicy::kCalendar);
 }
 
 TEST(SweepCells, BuildSweepGridMatchesPerCellAssembly)
@@ -117,14 +111,37 @@ TEST(SweepCells, CanonicalKeyIsStableText)
               "snapshot-every=2.5;health-snapshots=0");
 }
 
-TEST(SweepCells, QueuePolicyIsNotInTheCanonicalKey)
+TEST(SweepCells, TuningErrorNamesTheOffendingKey)
 {
-    SweepTuning calendar;
-    SweepTuning heap;
-    heap.queuePolicy = EventQueuePolicy::kHeap;
-    // Both policies are pinned to bit-identical artifacts, so a resume
-    // may switch them without invalidating checkpoints.
-    EXPECT_EQ(calendar.canonicalKey(), heap.canonicalKey());
+    EXPECT_EQ(tuningError(SweepTuning{}), "");
+    const auto key_of = [](const SweepTuning &t) {
+        const std::string error = tuningError(t);
+        return error.substr(0, error.find(':'));
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    SweepTuning t;
+    for (const double bad : {nan, inf, 0.0, -1.0, 1e-9, 1e300}) {
+        t = SweepTuning{};
+        t.fairnessWindow = bad;
+        EXPECT_EQ(key_of(t), "fairness-window") << bad;
+    }
+    t = SweepTuning{};
+    t.bypassBound = -3;
+    EXPECT_EQ(key_of(t), "bypass-bound");
+    for (const double bad : {nan, inf, 0.0, -1.0}) {
+        t = SweepTuning{};
+        t.healthRelHw = bad;
+        EXPECT_EQ(key_of(t), "health-rel-hw") << bad;
+        t = SweepTuning{};
+        t.healthLag1 = bad;
+        EXPECT_EQ(key_of(t), "health-lag1") << bad;
+    }
+    for (const double bad : {nan, inf, -1.0, 1e300}) {
+        t = SweepTuning{};
+        t.snapshotEvery = bad;
+        EXPECT_EQ(key_of(t), "snapshot-every") << bad;
+    }
 }
 
 } // namespace

@@ -30,7 +30,7 @@ TEST(RunHealthIntegrationTest, PaperSpecRunConverges)
     config.numBatches = 10;
     config.batchSize = 8000;
     config.warmup = 8000;
-    config.monitorHealth = true;
+    config.tuning.health = true;
     const ScenarioResult r =
         runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     ASSERT_TRUE(r.health.enabled);
@@ -52,7 +52,7 @@ TEST(RunHealthIntegrationTest, StarvedRunIsFlagged)
     config.numBatches = 5;
     config.batchSize = 50;
     config.warmup = 1000;
-    config.monitorHealth = true;
+    config.tuning.health = true;
     const ScenarioResult r =
         runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     ASSERT_TRUE(r.health.enabled);
@@ -86,8 +86,8 @@ TEST(RunHealthIntegrationTest, SnapshotsAndMetricsAreDeterministic)
     config.numBatches = 4;
     config.batchSize = 300;
     config.warmup = 300;
-    config.healthSnapshots = true;
-    config.monitorHealth = true;
+    config.tuning.healthSnapshots = true;
+    config.tuning.health = true;
     const ScenarioResult a =
         runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     const ScenarioResult b =

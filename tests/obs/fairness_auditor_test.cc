@@ -296,7 +296,7 @@ contrastScenario()
     config.numBatches = 2;
     config.batchSize = 1000;
     config.warmup = 500;
-    config.auditFairness = true;
+    config.tuning.fairness = true;
     return config;
 }
 
@@ -323,7 +323,7 @@ TEST(FairnessAuditorIntegration, RrHonorsItsBoundWhileAapViolatesIt)
 TEST(FairnessAuditorIntegration, SnapshotsIdenticalAcrossJobCounts)
 {
     ScenarioConfig config = contrastScenario();
-    config.snapshotEveryUnits = 250.0;
+    config.tuning.snapshotEvery = 250.0;
     std::vector<GridJob> grid;
     grid.push_back({config, ProtocolRegistry::builtin().fromSpec("rr1")});
     grid.push_back({config, ProtocolRegistry::builtin().fromSpec("aap1")});

@@ -32,7 +32,7 @@ smallConfig(double load)
     config.numBatches = 2;
     config.batchSize = 300;
     config.warmup = 300;
-    config.captureBinaryTrace = true;
+    config.tuning.captureTrace = true;
     return config;
 }
 
@@ -108,8 +108,8 @@ TEST(RunnerCapture, OneStreamFeedsEveryObserver)
     // so the caller's sink carries a second one of the same size.
     ScenarioConfig config = smallConfig(2.0);
     config.flightRecorderEvents = 64;
-    config.auditFairness = true;
-    config.snapshotEveryUnits = 50.0;
+    config.tuning.fairness = true;
+    config.tuning.snapshotEvery = 50.0;
     RecordingSink sink;
     config.tracer = &sink;
     const auto result =
@@ -139,9 +139,9 @@ TEST(RunnerCapture, OneStreamFeedsEveryObserver)
     // `busarb_trace audit` does, reproduces the live audit.
     FairnessAuditorConfig fc;
     fc.numAgents = config.numAgents;
-    fc.windowTicks = unitsToTicks(config.fairnessWindowUnits);
-    fc.bypassBound = config.bypassBound;
-    fc.snapshotEveryTicks = unitsToTicks(config.snapshotEveryUnits);
+    fc.windowTicks = unitsToTicks(config.tuning.fairnessWindow);
+    fc.bypassBound = config.tuning.bypassBound;
+    fc.snapshotEveryTicks = unitsToTicks(config.tuning.snapshotEvery);
     fc.label = chunk.protocol;
     FairnessAuditor replay(fc);
     Tick end = 0;
@@ -162,7 +162,7 @@ TEST(RunnerCapture, OneStreamFeedsEveryObserver)
 TEST(RunnerCapture, DisabledCaptureLeavesTraceEmpty)
 {
     ScenarioConfig config = smallConfig(1.0);
-    config.captureBinaryTrace = false;
+    config.tuning.captureTrace = false;
     const auto result =
         runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_TRUE(result.binaryTrace.empty());

@@ -76,7 +76,7 @@ TEST(OpenWorkloadTest, OverloadRaisesTheSaturationVerdict)
     // bound, and the run must say so instead of reporting a converged
     // estimate of a divergent quantity.
     ScenarioConfig config = openScenario("open:rate=1.3");
-    config.monitorHealth = true;
+    config.tuning.health = true;
     const ScenarioResult result =
         runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_TRUE(result.workload.saturated);
@@ -91,7 +91,7 @@ TEST(OpenWorkloadTest, OverloadRaisesTheSaturationVerdict)
 TEST(OpenWorkloadTest, StableRunsKeepTheMeasuredVerdict)
 {
     ScenarioConfig config = openScenario("open:rate=0.5");
-    config.monitorHealth = true;
+    config.tuning.health = true;
     const ScenarioResult result =
         runScenario(config, ProtocolRegistry::builtin().fromSpec("rr1"));
     EXPECT_FALSE(result.workload.saturated);
@@ -129,7 +129,7 @@ traceScenario(const TempTraceFile &trace)
     config.numBatches = 4;
     config.batchSize = 500;
     config.warmup = 500;
-    config.captureBinaryTrace = true;
+    config.tuning.captureTrace = true;
     return config;
 }
 

@@ -30,6 +30,7 @@
 #include "experiment/run_report.hh"
 #include "experiment/runner.hh"
 #include "experiment/scenario_spec.hh"
+#include "experiment/sweep_cells.hh"
 #include "experiment/workload_registry.hh"
 #include "workload/scenario.hh"
 
@@ -117,11 +118,16 @@ main(int argc, char **argv)
     // A report is the run's full observability surface: health verdict,
     // snapshots, fairness audit, and (unless suppressed) the trace the
     // latency breakdown is computed from.
-    config.monitorHealth = true;
-    config.healthSnapshots = true;
-    config.auditFairness = true;
-    config.snapshotEveryUnits = parser.getDouble("snapshot-every");
-    config.captureBinaryTrace = !parser.getBool("no-trace");
+    config.tuning.health = true;
+    config.tuning.healthSnapshots = true;
+    config.tuning.fairness = true;
+    config.tuning.snapshotEvery = parser.getDouble("snapshot-every");
+    config.tuning.captureTrace = !parser.getBool("no-trace");
+    const std::string tuning_error = tuningError(config.tuning);
+    if (!tuning_error.empty()) {
+        std::cerr << "busarb_report: --" << tuning_error << "\n";
+        return 2;
+    }
 
     const ScenarioResult result = runScenario(
         config,

@@ -23,11 +23,11 @@
  * --scenario file or from the individual flags.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,52 +68,17 @@ main(int argc, char **argv)
                        "print the workload-source catalogue (keys, "
                        "parameters, defaults) and exit");
     addScenarioFlags(parser);
-    addQueueFlag(parser);
+    addObserverFlags(parser);
     parser.addStringFlag("batches-csv", "",
                          "write per-batch measurements to this file");
     parser.addStringFlag("histogram-csv", "",
                          "write the waiting-time histogram to this file");
     parser.addIntFlag("trace-events", 0,
                       "print the first K bus events as a timeline");
-    parser.addStringFlag("trace-out", "",
-                         "capture a binary event trace of every run to "
-                         "this file (decode with busarb_trace)");
-    parser.addStringFlag("metrics-out", "",
-                         "write merged run metrics to this file (.json "
-                         "for JSON, anything else for CSV)");
     parser.addIntFlag("flight-recorder", 0,
                       "retain the last M bus events and dump them to "
-                      "stderr if a run panics (0 disables)");
-    parser.addBoolFlag("fairness", false,
-                       "attach the fairness auditor: per-agent bypass "
-                       "counts with N-1 bound checking, starvation "
-                       "watchdog, Jain indices (fairness.* metrics)");
-    parser.addDoubleFlag("fairness-window", 50.0,
-                         "fairness window width, transaction units");
-    parser.addIntFlag("bypass-bound", 0,
-                      "audited bypass bound per grant (0 = the paper's "
-                      "RR guarantee, N-1)");
-    parser.addStringFlag("snapshot-out", "",
-                         "write deterministic fairness snapshots (JSONL, "
-                         "byte-identical at any --jobs) to this file; "
-                         "requires --snapshot-every");
-    parser.addDoubleFlag("snapshot-every", 0.0,
-                         "snapshot interval in simulated transaction "
-                         "units; requires --snapshot-out");
-    parser.addBoolFlag("health", false,
-                       "attach the run-health monitor: batch-means "
-                       "convergence diagnostics (relative CI half-width, "
-                       "lag-1 autocorrelation, MSER warm-up detection) "
-                       "with a per-run verdict and health.* metrics");
-    parser.addBoolFlag("health-strict", false,
-                       "like --health, but exit with status 3 if any "
-                       "run's verdict is not 'converged'");
-    parser.addDoubleFlag("health-rel-hw", 0.05,
-                         "relative CI half-width target (the paper's "
-                         "\"within 5%\")");
-    parser.addDoubleFlag("health-lag1", 0.3,
-                         "|lag-1| autocorrelation threshold for "
-                         "batch-mean independence");
+                      "stderr if a run panics (0 disables)",
+                      0);
     parser.addBoolFlag("profile", false,
                        "print a per-run self-profile (events/sec, "
                        "per-phase wall-clock, queue depth) to stderr "
@@ -121,7 +86,8 @@ main(int argc, char **argv)
     parser.addIntFlag("jobs", 0,
                       "parallel scenario jobs for --compare runs (0 = "
                       "one per hardware thread); results are identical "
-                      "at any job count");
+                      "at any job count",
+                      0, std::numeric_limits<int>::max());
     if (!parser.parse(argc, argv))
         return parser.exitCode();
     if (parser.getBool("list-protocols")) {
@@ -135,10 +101,10 @@ main(int argc, char **argv)
 
     // Artifact destinations are validated before the run: a missing
     // parent directory fails in seconds, not after the simulation.
-    for (const char *flag : {"batches-csv", "histogram-csv", "trace-out",
-                             "metrics-out", "snapshot-out"})
+    for (const char *flag : {"batches-csv", "histogram-csv"})
         requireParentDirOrExit("busarb_sim", flag,
                                parser.getString(flag));
+    const SweepTuning tuning = observerTuningOrExit("busarb_sim", parser);
 
     const ScenarioSpec spec = scenarioSpecFromFlags("busarb_sim", parser);
     if (spec.loadTokens.size() > 1) {
@@ -181,39 +147,10 @@ main(int argc, char **argv)
         return 2;
     }
     config.collectHistogram = !parser.getString("histogram-csv").empty();
-    config.captureBinaryTrace = !parser.getString("trace-out").empty();
-    config.flightRecorderEvents = static_cast<std::size_t>(
-        std::max(0L, parser.getInt("flight-recorder")));
-    const std::string snapshot_path = parser.getString("snapshot-out");
-    const double snapshot_every = parser.getDouble("snapshot-every");
-    const bool health_strict = parser.getBool("health-strict");
-    config.monitorHealth = parser.getBool("health") || health_strict;
-    if (snapshot_path.empty() && snapshot_every > 0.0) {
-        std::cerr << "busarb_sim: --snapshot-every requires "
-                     "--snapshot-out\n";
-        return 2;
-    }
-    if (!snapshot_path.empty() && snapshot_every <= 0.0 &&
-        !config.monitorHealth) {
-        std::cerr << "busarb_sim: --snapshot-out requires "
-                     "--snapshot-every and/or --health\n";
-        return 2;
-    }
-    config.healthSnapshots =
-        config.monitorHealth && !snapshot_path.empty();
-    config.healthRelHwTarget = parser.getDouble("health-rel-hw");
-    config.healthLag1Threshold = parser.getDouble("health-lag1");
+    config.flightRecorderEvents =
+        static_cast<std::size_t>(parser.getInt("flight-recorder"));
+    config.tuning = tuning;
     config.profile = parser.getBool("profile");
-    config.eventQueuePolicy = queuePolicyOrExit("busarb_sim", parser);
-    config.auditFairness =
-        parser.getBool("fairness") || snapshot_every > 0.0;
-    config.fairnessWindowUnits = parser.getDouble("fairness-window");
-    config.bypassBound = static_cast<int>(parser.getInt("bypass-bound"));
-    config.snapshotEveryUnits = snapshot_every;
-    if (config.auditFairness && config.fairnessWindowUnits <= 0.0) {
-        std::cerr << "busarb_sim: --fairness-window must be > 0\n";
-        return 2;
-    }
 
     if (protocol_specs.size() == 2 &&
         protocol_specs[0] == protocol_specs[1]) {
@@ -279,7 +216,7 @@ main(int argc, char **argv)
                       << "\n";
         }
     }
-    if (config.auditFairness) {
+    if (tuning.fairness) {
         std::cout << "\n";
         for (const auto &r : results) {
             // The registry has no const accessors; read from a copy.
@@ -300,7 +237,7 @@ main(int argc, char **argv)
                       << "\n";
         }
     }
-    if (config.monitorHealth) {
+    if (tuning.health) {
         std::cout << "\n";
         for (const auto &r : results) {
             std::cout << "health[" << r.protocolName << "]: ";
@@ -314,33 +251,6 @@ main(int argc, char **argv)
     }
     std::cout << "\njobs=" << jobs << " elapsed_ms="
               << formatFixed(elapsed_ms, 0) << "\n";
-
-    if (!snapshot_path.empty()) {
-        // Per-run snapshot streams (fairness first, then health)
-        // concatenated in submission order — byte-identical at any job
-        // count.
-        std::ofstream out(snapshot_path, std::ios::binary);
-        if (!out) {
-            std::cerr << "cannot write " << snapshot_path << "\n";
-            return 1;
-        }
-        std::size_t lines = 0;
-        const auto count_lines = [](const std::string &s) {
-            return static_cast<std::size_t>(
-                std::count(s.begin(), s.end(), '\n'));
-        };
-        for (const auto &r : results) {
-            out << r.fairnessSnapshots << r.healthSnapshots;
-            lines += count_lines(r.fairnessSnapshots) +
-                     count_lines(r.healthSnapshots);
-        }
-        if (!out) {
-            std::cerr << "error writing " << snapshot_path << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << lines << " snapshot line(s) to "
-                  << snapshot_path << "\n";
-    }
 
     if (!parser.getString("batches-csv").empty()) {
         std::ofstream out(parser.getString("batches-csv"));
@@ -364,70 +274,21 @@ main(int argc, char **argv)
         std::cout << "wrote waiting-time histogram CSV to "
                   << parser.getString("histogram-csv") << "\n";
     }
-    if (!parser.getString("trace-out").empty()) {
-        // One self-contained chunk per run, concatenated in submission
-        // order — byte-identical at any job count.
-        std::ofstream out(parser.getString("trace-out"),
-                          std::ios::binary);
-        if (!out) {
-            std::cerr << "cannot write "
-                      << parser.getString("trace-out") << "\n";
-            return 1;
-        }
-        std::size_t bytes = 0;
-        for (const auto &r : results) {
-            out.write(reinterpret_cast<const char *>(
-                          r.binaryTrace.data()),
-                      static_cast<std::streamsize>(r.binaryTrace.size()));
-            bytes += r.binaryTrace.size();
-        }
-        if (!out) {
-            std::cerr << "error writing "
-                      << parser.getString("trace-out") << "\n";
-            return 1;
-        }
-        std::cout << "wrote binary trace (" << results.size()
-                  << " chunk(s), " << bytes << " bytes) to "
-                  << parser.getString("trace-out") << "\n";
+    // Metrics are merged under protocol-name prefixes, so a --compare
+    // run keeps the two apart. Two specs can resolve to one protocol
+    // name (e.g. option variants that do not change it); catch that
+    // before the merge panics.
+    std::vector<std::string> names;
+    for (const auto &r : results)
+        names.push_back(r.protocolName);
+    if (!parser.getString("metrics-out").empty() && names.size() == 2 &&
+        names[0] == names[1]) {
+        std::cerr << "busarb_sim: --protocol and --compare resolve to "
+                     "the same name '"
+                  << names[0] << "'; their metrics would collide\n";
+        return 2;
     }
-    if (!parser.getString("metrics-out").empty()) {
-        // Merge per-run registries in submission order, prefixed by
-        // protocol so a --compare run keeps the two apart. Two specs
-        // can resolve to one protocol name (e.g. option variants that
-        // do not change it); catch that before the merge panics.
-        if (results.size() == 2 &&
-            results[0].protocolName == results[1].protocolName) {
-            std::cerr << "busarb_sim: --protocol and --compare resolve "
-                         "to the same name '"
-                      << results[0].protocolName
-                      << "'; their metrics would collide\n";
-            return 2;
-        }
-        MetricsRegistry merged;
-        for (const auto &r : results)
-            merged.mergeFrom(r.metrics, r.protocolName + ".");
-        // Canonical provenance: the same annotation text whether the
-        // run came from flags or from a scenario file.
-        merged.setAnnotation("scenario.spec", spec.format());
-        if (!merged.writeFile(parser.getString("metrics-out"))) {
-            std::cerr << "cannot write "
-                      << parser.getString("metrics-out") << "\n";
-            return 1;
-        }
-        std::cout << "wrote metrics to "
-                  << parser.getString("metrics-out") << "\n";
-    }
-    if (health_strict) {
-        // Exit 3 is reserved for verdict failures, distinct from I/O
-        // errors (1) and usage errors (2), so scripts can gate on it.
-        for (const auto &r : results) {
-            if (r.health.verdict != ConvergenceVerdict::kConverged) {
-                std::cerr << "busarb_sim: run '" << r.protocolName
-                          << "' is " << r.health.verdictLabel()
-                          << " (--health-strict)\n";
-                return 3;
-            }
-        }
-    }
-    return 0;
+    if (!writeObserverOutputs(parser, results, names, spec.format()))
+        return 1;
+    return healthStrictExitCode("busarb_sim", parser, results, names);
 }

@@ -27,11 +27,11 @@
  * whatever the checkpoints already hold. See docs/ORCHESTRATION.md.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,7 +47,6 @@
 #include "experiment/sweep_cells.hh"
 #include "experiment/table.hh"
 #include "experiment/workload_registry.hh"
-#include "obs/metrics_registry.hh"
 #include "obs/sweep_progress.hh"
 #include "workload/scenario.hh"
 
@@ -103,56 +102,24 @@ main(int argc, char **argv)
                          "workload-source spec for every cell (see "
                          "--list-workloads); sources without a load "
                          "axis conflict with --loads");
-    parser.addIntFlag("agents", 10, "number of agents");
+    constexpr long kIntMax = std::numeric_limits<int>::max();
+    parser.addIntFlag("agents", 10, "number of agents", 1, kIntMax);
     parser.addDoubleFlag("cv", 1.0,
                          "inter-request coefficient of variation");
-    parser.addIntFlag("batches", 10, "measurement batches");
-    parser.addIntFlag("batch-size", 8000, "completions per batch");
+    parser.addIntFlag("batches", 10, "measurement batches", 1, kIntMax);
+    parser.addIntFlag("batch-size", 8000, "completions per batch", 1);
     parser.addIntFlag("jobs", 0,
                       "parallel scenario jobs (0 = one per hardware "
                       "thread, 1 = serial); any value produces "
                       "identical output. In fleet mode this is the "
-                      "per-worker thread count (default 1)");
+                      "per-worker thread count (default 1)",
+                      0, kIntMax);
     parser.addStringFlag("csv", "", "write CSV here instead of a table");
-    parser.addStringFlag("trace-out", "",
-                         "capture a binary event trace of every cell to "
-                         "this file (decode with busarb_trace)");
-    parser.addStringFlag("metrics-out", "",
-                         "write merged per-cell metrics to this file "
-                         "(.json for JSON, anything else for CSV)");
+    addObserverFlags(parser);
     parser.addStringFlag("timing-csv", "",
                          "write per-cell wall-clock timing here (host "
                          "timing; varies run to run, so it is kept out "
                          "of the deterministic --csv file)");
-    parser.addStringFlag("snapshot-out", "",
-                         "write deterministic per-cell fairness/health "
-                         "snapshots (JSONL, byte-identical at any "
-                         "--jobs or --shards) to this file; requires "
-                         "--snapshot-every and/or --health");
-    parser.addDoubleFlag("snapshot-every", 0.0,
-                         "snapshot interval in simulated transaction "
-                         "units; requires --snapshot-out");
-    parser.addBoolFlag("fairness", false,
-                       "attach the fairness auditor to every cell; the "
-                       "fairness.* measures land in --metrics-out");
-    parser.addDoubleFlag("fairness-window", 50.0,
-                         "fairness window width, transaction units");
-    parser.addIntFlag("bypass-bound", 0,
-                      "audited bypass bound per grant (0 = the paper's "
-                      "RR guarantee, N-1)");
-    parser.addBoolFlag("health", false,
-                       "attach the run-health monitor to every cell and "
-                       "print per-cell convergence verdicts; health.* "
-                       "measures land in --metrics-out");
-    parser.addBoolFlag("health-strict", false,
-                       "like --health, but exit with status 3 if any "
-                       "cell's verdict is not 'converged'");
-    parser.addDoubleFlag("health-rel-hw", 0.05,
-                         "relative CI half-width target (the paper's "
-                         "\"within 5%\")");
-    parser.addDoubleFlag("health-lag1", 0.3,
-                         "|lag-1| autocorrelation threshold for "
-                         "batch-mean independence");
     parser.addBoolFlag("progress", false,
                        "print a live progress/ETA line to stderr as grid "
                        "cells complete (stderr only, so stdout and every "
@@ -160,17 +127,20 @@ main(int argc, char **argv)
     parser.addIntFlag("shards", 0,
                       "partition the grid into this many shards and run "
                       "them as worker processes (requires --shard-dir); "
-                      "0 or 1 = in-process");
+                      "0 or 1 = in-process",
+                      0);
     parser.addStringFlag("shard-dir", "",
                          "directory for shard task files and durable "
                          "cell checkpoints (created if missing)");
     parser.addIntFlag("fleet", 0,
                       "max concurrent worker processes (0 = "
-                      "min(shards, hardware threads))");
+                      "min(shards, hardware threads))",
+                      0);
     parser.addIntFlag("retries", 2,
                       "crash retries per shard before the sweep gives "
                       "up (each retry resumes from the shard's "
-                      "checkpoints)");
+                      "checkpoints)",
+                      0, kIntMax);
     parser.addBoolFlag("resume", false,
                        "continue a sharded sweep from the checkpoints "
                        "already in --shard-dir instead of refusing");
@@ -179,7 +149,6 @@ main(int argc, char **argv)
                          "checkpoint its cells (spawned by the "
                          "coordinator; every other flag except --jobs "
                          "is ignored)");
-    addQueueFlag(parser);
     if (!parser.parse(argc, argv))
         return parser.exitCode();
     if (!parser.getString("worker-shard").empty()) {
@@ -196,47 +165,19 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (parser.getBool("fairness") &&
-        parser.getDouble("fairness-window") <= 0.0) {
-        std::cerr << "busarb_sweep: --fairness-window must be > 0\n";
-        return 2;
-    }
-
-    const bool health_strict = parser.getBool("health-strict");
-    const bool monitor_health =
-        parser.getBool("health") || health_strict;
-    const std::string snapshot_path = parser.getString("snapshot-out");
-    const double snapshot_every = parser.getDouble("snapshot-every");
-    if (snapshot_path.empty() && snapshot_every > 0.0) {
-        std::cerr << "busarb_sweep: --snapshot-every requires "
-                     "--snapshot-out\n";
-        return 2;
-    }
-    if (!snapshot_path.empty() && snapshot_every <= 0.0 &&
-        !monitor_health) {
-        std::cerr << "busarb_sweep: --snapshot-out requires "
-                     "--snapshot-every and/or --health\n";
-        return 2;
-    }
-
     // Artifact destinations are validated before any cell runs: a
     // missing parent directory fails in seconds, not after the sweep.
-    requireParentDirOrExit("busarb_sweep", "csv",
-                           parser.getString("csv"));
-    requireParentDirOrExit("busarb_sweep", "trace-out",
-                           parser.getString("trace-out"));
-    requireParentDirOrExit("busarb_sweep", "metrics-out",
-                           parser.getString("metrics-out"));
-    requireParentDirOrExit("busarb_sweep", "timing-csv",
-                           parser.getString("timing-csv"));
-    requireParentDirOrExit("busarb_sweep", "snapshot-out",
-                           snapshot_path);
+    for (const char *flag : {"csv", "timing-csv"})
+        requireParentDirOrExit("busarb_sweep", flag,
+                               parser.getString(flag));
+    // Every knob that shapes a cell lives in one SweepTuning: the
+    // in-process path, the coordinator, and every worker derive their
+    // cells from it through the same sweep_cells.hh assembly, which is
+    // what keeps sharded artifacts byte-identical to this process's.
+    const SweepTuning tuning =
+        observerTuningOrExit("busarb_sweep", parser);
 
     const long shards_flag = parser.getInt("shards");
-    if (shards_flag < 0) {
-        std::cerr << "busarb_sweep: --shards must be >= 0\n";
-        return 2;
-    }
     const bool sharded = shards_flag > 1;
     if (sharded && parser.getString("shard-dir").empty()) {
         std::cerr << "busarb_sweep: --shards needs --shard-dir for the "
@@ -252,11 +193,6 @@ main(int argc, char **argv)
             }
         }
     }
-    if (parser.getInt("retries") < 0) {
-        std::cerr << "busarb_sweep: --retries must be >= 0\n";
-        return 2;
-    }
-
     // Both axes plus the workload come from one ScenarioSpec, built
     // either from a --grid file or from the flags; cell assembly below
     // is shared, so the two inputs produce identical artifacts.
@@ -295,6 +231,9 @@ main(int argc, char **argv)
             return 2;
         }
         spec.protocolSpecs = splitCsvList(parser.getString("protocols"));
+        for (const auto &token : spec.loadTokens)
+            parseDoubleTokenOrExit("busarb_sweep", "loads", token);
+        validateSpecOrExit("busarb_sweep", spec);
     }
     if (spec.family == "worst-case") {
         std::cerr << "busarb_sweep: family 'worst-case' has no load "
@@ -302,13 +241,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const int n = spec.agents;
-    const auto &protocol_keys = spec.protocolSpecs;
     // Sources without a load axis (trace replay) sweep the single
     // placeholder token "-", so row labels and metric prefixes stay
     // well-formed with one cell per protocol.
-    const auto &load_tokens = spec.loadAxis();
-    if (protocol_keys.empty() || load_tokens.empty()) {
+    if (spec.protocolSpecs.empty() || spec.loadAxis().empty()) {
         std::cerr << "need at least one protocol and one load\n";
         return 2;
     }
@@ -321,11 +257,11 @@ main(int argc, char **argv)
                     return true;
         return false;
     };
-    if (has_duplicate(protocol_keys)) {
+    if (has_duplicate(spec.protocolSpecs)) {
         std::cerr << "busarb_sweep: duplicate key in --protocols\n";
         return 2;
     }
-    if (has_duplicate(load_tokens)) {
+    if (has_duplicate(spec.loadAxis())) {
         std::cerr << "busarb_sweep: duplicate load in --loads\n";
         return 2;
     }
@@ -343,28 +279,6 @@ main(int argc, char **argv)
         writeSummaryCsvHeader(*csv);
     }
 
-    // Every knob that shapes a cell lives in one SweepTuning: the
-    // in-process path, the coordinator, and every worker derive their
-    // cells from it through the same sweep_cells.hh assembly, which is
-    // what keeps sharded artifacts byte-identical to this process's.
-    SweepTuning tuning;
-    tuning.captureTrace = !parser.getString("trace-out").empty();
-    tuning.fairness =
-        parser.getBool("fairness") || snapshot_every > 0.0;
-    tuning.fairnessWindow = parser.getDouble("fairness-window");
-    tuning.bypassBound =
-        static_cast<int>(parser.getInt("bypass-bound"));
-    tuning.health = monitor_health;
-    tuning.healthRelHw = parser.getDouble("health-rel-hw");
-    tuning.healthLag1 = parser.getDouble("health-lag1");
-    tuning.snapshotEvery = snapshot_every;
-    tuning.healthSnapshots = monitor_health && !snapshot_path.empty();
-    tuning.queuePolicy = queuePolicyOrExit("busarb_sweep", parser);
-    if (tuning.fairness && tuning.fairnessWindow <= 0.0) {
-        std::cerr << "busarb_sweep: --fairness-window must be > 0\n";
-        return 2;
-    }
-
     const auto start = std::chrono::steady_clock::now();
     std::vector<ScenarioResult> results;
     int jobs = 0;
@@ -374,8 +288,7 @@ main(int argc, char **argv)
         opts.exePath = argv[0];
         opts.shardDir = parser.getString("shard-dir");
         opts.shards = static_cast<std::size_t>(shards_flag);
-        opts.fleet = static_cast<std::size_t>(
-            std::max(0L, parser.getInt("fleet")));
+        opts.fleet = static_cast<std::size_t>(parser.getInt("fleet"));
         opts.retries = static_cast<int>(parser.getInt("retries"));
         // Workers default to one thread each — the fleet is the
         // parallelism — but an explicit --jobs passes through.
@@ -429,25 +342,28 @@ main(int argc, char **argv)
             std::chrono::steady_clock::now() - start)
             .count();
 
+    // Cell i's label ("load=X.key") names it in health lines, metric
+    // prefixes and the --health-strict message.
+    std::vector<std::string> labels;
     TextTable table({"load", "protocol", "util", "W", "sigma W",
                      "t_N/t_1", "ms"});
-    std::size_t cell = 0;
-    for (const auto &token : load_tokens) {
-        for (const auto &key : protocol_keys) {
-            const ScenarioResult &result = results[cell++];
-            if (csv != nullptr) {
-                writeSummaryCsvRow(result, "load=" + token, *csv);
-            } else {
-                table.addRow({
-                    token,
-                    key,
-                    formatFixed(result.utilization().value, 2),
-                    formatEstimate(result.meanWait()),
-                    formatEstimate(result.waitStddev()),
-                    formatEstimate(result.throughputRatio(n, 1)),
-                    formatFixed(result.elapsedMs, 0),
-                });
-            }
+    for (std::size_t cell = 0; cell < results.size(); ++cell) {
+        const std::string &token = spec.cellLoadToken(cell);
+        const std::string &key = spec.cellProtocolSpec(cell);
+        const ScenarioResult &result = results[cell];
+        labels.push_back("load=" + token + "." + key);
+        if (csv != nullptr) {
+            writeSummaryCsvRow(result, "load=" + token, *csv);
+        } else {
+            table.addRow({
+                token,
+                key,
+                formatFixed(result.utilization().value, 2),
+                formatEstimate(result.meanWait()),
+                formatEstimate(result.waitStddev()),
+                formatEstimate(result.throughputRatio(spec.agents, 1)),
+                formatFixed(result.elapsedMs, 0),
+            });
         }
     }
     if (csv != nullptr) {
@@ -456,110 +372,27 @@ main(int argc, char **argv)
     } else {
         table.print(std::cout);
     }
-    if (monitor_health) {
-        std::size_t idx = 0;
-        for (const auto &token : load_tokens) {
-            for (const auto &key : protocol_keys) {
-                const ScenarioResult &r = results[idx++];
-                std::cout << "health[load=" << token << "." << key
-                          << "]: ";
-                r.health.print(std::cout);
-                std::cout << "\n";
-            }
+    if (tuning.health) {
+        for (std::size_t cell = 0; cell < results.size(); ++cell) {
+            std::cout << "health[" << labels[cell] << "]: ";
+            results[cell].health.print(std::cout);
+            std::cout << "\n";
         }
     }
-    if (!parser.getString("trace-out").empty()) {
-        std::ofstream out(parser.getString("trace-out"),
-                          std::ios::binary);
-        if (!out) {
-            std::cerr << "cannot write "
-                      << parser.getString("trace-out") << "\n";
-            return 1;
-        }
-        for (const auto &result : results) {
-            out.write(
-                reinterpret_cast<const char *>(result.binaryTrace.data()),
-                static_cast<std::streamsize>(result.binaryTrace.size()));
-        }
-        if (!out) {
-            std::cerr << "error writing "
-                      << parser.getString("trace-out") << "\n";
-            return 1;
-        }
-        std::cout << "wrote binary trace (" << results.size()
-                  << " chunks) to " << parser.getString("trace-out")
-                  << "\n";
-    }
-    if (!snapshot_path.empty()) {
-        // Per-cell snapshot streams (fairness first, then health)
-        // concatenated in cell order — byte-identical at any job or
-        // shard count.
-        std::ofstream out(snapshot_path, std::ios::binary);
-        if (!out) {
-            std::cerr << "cannot write " << snapshot_path << "\n";
-            return 1;
-        }
-        std::size_t lines = 0;
-        const auto count_lines = [](const std::string &s) {
-            std::size_t n_lines = 0;
-            for (const char c : s)
-                if (c == '\n')
-                    ++n_lines;
-            return n_lines;
-        };
-        for (const auto &r : results) {
-            out << r.fairnessSnapshots << r.healthSnapshots;
-            lines += count_lines(r.fairnessSnapshots) +
-                     count_lines(r.healthSnapshots);
-        }
-        if (!out) {
-            std::cerr << "error writing " << snapshot_path << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << lines << " snapshot line(s) to "
-                  << snapshot_path << "\n";
-    }
-    if (!parser.getString("metrics-out").empty()) {
-        // One prefix per grid cell, in row-emission order.
-        MetricsRegistry merged;
-        std::size_t idx = 0;
-        for (const auto &token : load_tokens) {
-            for (const auto &key : protocol_keys) {
-                merged.mergeFrom(results[idx++].metrics,
-                                 "load=" + token + "." + key + ".");
-            }
-        }
-        // Canonical provenance: identical text for --grid and for the
-        // equivalent flag invocation.
-        merged.setAnnotation("scenario.spec", spec.format());
-        if (!merged.writeFile(parser.getString("metrics-out"))) {
-            std::cerr << "cannot write "
-                      << parser.getString("metrics-out") << "\n";
-            return 1;
-        }
-        std::cout << "wrote metrics to "
-                  << parser.getString("metrics-out") << "\n";
-    }
+    if (!writeObserverOutputs(parser, results, labels, spec.format()))
+        return 1;
     if (!parser.getString("timing-csv").empty()) {
         // Host wall-clock per cell. Deliberately a separate file from
         // --csv: timing varies run to run while the results CSV must
         // stay byte-identical across job counts.
         std::ofstream out(parser.getString("timing-csv"));
+        out << "label,protocol,elapsed_ms\n";
+        for (std::size_t cell = 0; cell < results.size(); ++cell)
+            out << "load=" << spec.cellLoadToken(cell) << ","
+                << spec.cellProtocolSpec(cell) << ","
+                << formatFixed(results[cell].elapsedMs, 3) << "\n";
         if (!out) {
             std::cerr << "cannot write "
-                      << parser.getString("timing-csv") << "\n";
-            return 1;
-        }
-        out << "label,protocol,elapsed_ms\n";
-        std::size_t idx = 0;
-        for (const auto &token : load_tokens) {
-            for (const auto &key : protocol_keys) {
-                out << "load=" << token << "," << key << ","
-                    << formatFixed(results[idx++].elapsedMs, 3) << "\n";
-            }
-        }
-        if (!out) {
-            std::cerr << "error writing "
                       << parser.getString("timing-csv") << "\n";
             return 1;
         }
@@ -570,22 +403,5 @@ main(int argc, char **argv)
     // stay byte-identical across job counts.
     std::cout << "jobs=" << jobs << " elapsed_ms="
               << formatFixed(elapsed_ms, 0) << "\n";
-    if (health_strict) {
-        // Exit 3 is reserved for verdict failures, distinct from I/O
-        // errors (1) and usage errors (2), so scripts can gate on it.
-        std::size_t idx = 0;
-        for (const auto &token : load_tokens) {
-            for (const auto &key : protocol_keys) {
-                const ScenarioResult &r = results[idx++];
-                if (r.health.verdict != ConvergenceVerdict::kConverged) {
-                    std::cerr << "busarb_sweep: cell load=" << token
-                              << "." << key << " is "
-                              << r.health.verdictLabel()
-                              << " (--health-strict)\n";
-                    return 3;
-                }
-            }
-        }
-    }
-    return 0;
+    return healthStrictExitCode("busarb_sweep", parser, results, labels);
 }

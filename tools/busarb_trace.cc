@@ -33,10 +33,12 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "experiment/cli.hh"
+#include "experiment/sweep_cells.hh"
 #include "obs/binary_trace.hh"
 #include "obs/fairness_auditor.hh"
 #include "obs/latency.hh"
@@ -86,14 +88,18 @@ writeTextFile(const std::string &path, WriteFn write)
 int
 runAudit(const std::vector<TraceChunk> &chunks, const ArgParser &parser)
 {
-    const double window = parser.getDouble("fairness-window");
-    if (window <= 0.0) {
-        std::cerr << "busarb_trace: --fairness-window must be > 0\n";
+    // The same value check a live --fairness run's flags go through.
+    SweepTuning tuning;
+    tuning.fairnessWindow = parser.getDouble("fairness-window");
+    tuning.bypassBound = static_cast<int>(parser.getInt("bypass-bound"));
+    tuning.snapshotEvery = parser.getDouble("snapshot-every");
+    const std::string error = tuningError(tuning);
+    if (!error.empty()) {
+        std::cerr << "busarb_trace: --" << error << "\n";
         return 2;
     }
     const std::string snapshot_path = parser.getString("snapshot-out");
-    const double snapshot_every = parser.getDouble("snapshot-every");
-    if (snapshot_path.empty() != (snapshot_every <= 0.0)) {
+    if (snapshot_path.empty() != (tuning.snapshotEvery <= 0.0)) {
         std::cerr << "busarb_trace: --snapshot-out and --snapshot-every "
                      "must be given together\n";
         return 2;
@@ -105,10 +111,9 @@ runAudit(const std::vector<TraceChunk> &chunks, const ArgParser &parser)
         const TraceChunk &chunk = chunks[i];
         FairnessAuditorConfig fc;
         fc.numAgents = chunk.numAgents;
-        fc.windowTicks = unitsToTicks(window);
-        fc.bypassBound =
-            static_cast<int>(parser.getInt("bypass-bound"));
-        fc.snapshotEveryTicks = unitsToTicks(snapshot_every);
+        fc.windowTicks = unitsToTicks(tuning.fairnessWindow);
+        fc.bypassBound = tuning.bypassBound;
+        fc.snapshotEveryTicks = unitsToTicks(tuning.snapshotEvery);
         fc.label = chunk.protocol;
         FairnessAuditor auditor(fc);
         Tick end = 0;
@@ -182,7 +187,8 @@ main(int argc, char **argv)
                          "units");
     parser.addIntFlag("bypass-bound", 0,
                       "audit: audited bypass bound per grant (0 = the "
-                      "paper's RR guarantee, N-1)");
+                      "paper's RR guarantee, N-1)",
+                      0, std::numeric_limits<int>::max());
     parser.addStringFlag("snapshot-out", "",
                          "audit: write deterministic fairness snapshots "
                          "(JSONL) here; requires --snapshot-every");
