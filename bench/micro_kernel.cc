@@ -290,6 +290,35 @@ BM_FullSimulationAgents20(benchmark::State &state)
 BENCHMARK(BM_FullSimulationAgents20)->Arg(0)->Arg(1);
 
 void
+BM_FullSimulationAgents64(benchmark::State &state, const char *key)
+{
+    // The 20-agent run widened to 64 agents (two mask words of
+    // competitors) on the calendar kernel, per protocol:
+    // events_per_second here against BM_FullSimulationAgents20/0 checks
+    // that a wider bus costs no more per event.
+    ScenarioConfig config = equalLoadScenario(64, 2.0);
+    config.numBatches = 2;
+    config.batchSize = 5000;
+    config.warmup = 1000;
+    config.profile = true; // exposes the executed-event count
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
+        events += result.profile.eventsExecuted;
+        benchmark::DoNotOptimize(result);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            (config.numBatches * config.batchSize +
+                             config.warmup));
+    state.counters["events_per_second"] = benchmark::Counter(
+        static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_FullSimulationAgents64, rr1, "rr1");
+BENCHMARK_CAPTURE(BM_FullSimulationAgents64, fcfs1, "fcfs1");
+BENCHMARK_CAPTURE(BM_FullSimulationAgents64, aap1, "aap1");
+
+void
 BM_FullSimulationObserved(benchmark::State &state)
 {
     // Same saturated run as BM_FullSimulation/rr1, with the obs layer

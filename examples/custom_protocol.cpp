@@ -66,10 +66,10 @@ class LongestQueueFirstProtocol : public ArbitrationProtocol
         frozen_.clear();
         std::vector<int> depth(static_cast<std::size_t>(numAgents_) + 1,
                                0);
-        pending_.forEach([&](PendingEntry &e) {
+        pending_.forEach([&](const PendingEntry &e) {
             ++depth[static_cast<std::size_t>(e.req.agent)];
         });
-        pending_.forEachAgentOldest([&](PendingEntry &e) {
+        pending_.forEachAgentOldest([&](const PendingEntry &e) {
             const auto d = static_cast<std::uint64_t>(
                 depth[static_cast<std::size_t>(e.req.agent)]);
             frozen_.push_back(Competitor{

@@ -1,7 +1,5 @@
 #include "baseline/aap_batch.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace busarb {
@@ -18,29 +16,38 @@ BatchAapProtocol::reset(int num_agents)
     numAgents_ = num_agents;
     idBits_ = linesForAgents(num_agents);
     pending_.reset(num_agents);
-    batch_.clear();
-    frozen_.clear();
+    batchCount_.assign(static_cast<std::size_t>(num_agents) + 1, 0);
+    batchMask_ = pending_.requestMask();
+    batchSize_ = 0;
+    frozenBatch_ = batchMask_;
+    frozenPriority_ = batchMask_;
     passOpen_ = false;
     batchesFormed_ = 0;
     priorityPending_ = 0;
+    settle_.reset(idBits_ + (enablePriority_ ? 1 : 0));
 }
 
-bool
-BatchAapProtocol::inBatch(std::uint64_t seq) const
+void
+BatchAapProtocol::joinBatch(AgentId agent, std::uint32_t members)
 {
-    return std::find(batch_.begin(), batch_.end(), seq) != batch_.end();
+    const auto a = static_cast<std::size_t>(agent);
+    batchCount_[a] += members;
+    batchMask_[a >> 6] |= 1ULL << (a & 63);
+    batchSize_ += members;
 }
 
 void
 BatchAapProtocol::formNewBatch(Tick now)
 {
-    BUSARB_ASSERT(batch_.empty(), "forming a batch while one is active");
-    pending_.forEach([&](PendingEntry &e) {
+    BUSARB_ASSERT(batchSize_ == 0, "forming a batch while one is active");
+    forEachAgentIn(pending_.requestMask(), [&](AgentId a) {
         // Priority requests ignore the batching protocol entirely.
-        if (!e.req.priority)
-            batch_.push_back(e.req.seq);
+        const auto members = static_cast<std::uint32_t>(
+            pending_.numOfAgent(a) - pending_.numPriorityOfAgent(a));
+        if (members > 0)
+            joinBatch(a, members);
     });
-    if (!batch_.empty()) {
+    if (batchSize_ > 0) {
         ++batchesFormed_;
         batchFormedAt_ = now;
     }
@@ -59,14 +66,14 @@ BatchAapProtocol::requestPosted(const Request &req)
         ++priorityPending_;
         return;
     }
-    if (batch_.empty()) {
+    if (batchSize_ == 0) {
         // Request line reads 0: the request asserts it and forms a new
         // batch.
         formNewBatch(req.issued);
     } else if (req.issued == batchFormedAt_) {
         // The batch formed at this very instant; the line assertion has
         // not propagated yet, so this request joins it too.
-        batch_.push_back(req.seq);
+        joinBatch(req.agent, 1);
     }
     // Otherwise: a batch is in progress; the request waits for its end.
 }
@@ -78,7 +85,7 @@ BatchAapProtocol::wantsPass() const
     // whenever a non-priority request is pending, since a new batch
     // forms the moment the old one drains); priority requests assert it
     // unconditionally.
-    return !batch_.empty() || priorityPending_ > 0;
+    return batchSize_ > 0 || priorityPending_ > 0;
 }
 
 void
@@ -87,26 +94,12 @@ BatchAapProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    std::vector<bool> prio_added(
-        static_cast<std::size_t>(numAgents_) + 1, false);
-    pending_.forEach([&](PendingEntry &e) {
-        if (e.req.priority) {
-            if (prio_added[static_cast<std::size_t>(e.req.agent)])
-                return; // an agent presents its oldest priority request
-            prio_added[static_cast<std::size_t>(e.req.agent)] = true;
-            // Priority line asserted: most significant bit.
-            frozen_.push_back(FrozenCompetitor{
-                e.req.agent,
-                (1ULL << idBits_) |
-                    static_cast<std::uint64_t>(e.req.agent),
-                e.req.seq});
-        } else if (inBatch(e.req.seq)) {
-            frozen_.push_back(FrozenCompetitor{
-                e.req.agent, static_cast<std::uint64_t>(e.req.agent),
-                e.req.seq});
-        }
-    });
+    // Batch members apply their identity; an agent with a priority
+    // request also applies its identity under the priority line (most
+    // significant bit), presenting its oldest priority request.
+    frozenBatch_ = batchMask_;
+    if (enablePriority_)
+        frozenPriority_ = pending_.priorityMask();
 }
 
 PassResult
@@ -115,37 +108,35 @@ BatchAapProtocol::completePass(Tick now)
     (void)now;
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
-    if (frozen_.empty()) {
-        BUSARB_ASSERT(batch_.empty(),
+    AgentId winner = highestAgent(frozenPriority_);
+    const bool priority = winner != kNoAgent;
+    if (!priority)
+        winner = highestAgent(frozenBatch_);
+    if (winner == kNoAgent) {
+        BUSARB_ASSERT(batchSize_ == 0,
                       "batch members vanished without service");
         return PassResult::makeIdle();
     }
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        if (c.word > best->word)
-            best = &c;
-    }
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(winner != nullptr, "winning request vanished");
-    return PassResult::makeWinner(winner->req);
+    return PassResult::makeWinner(
+        pending_.oldestOfClass(winner, priority).req);
 }
 
 void
 BatchAapProtocol::tenureStarted(const Request &req, Tick now)
 {
     (void)now;
+    pending_.popBySeq(req.agent, req.seq);
     if (req.priority) {
         BUSARB_ASSERT(priorityPending_ > 0, "priority count underflow");
         --priorityPending_;
-        pending_.popBySeq(req.agent, req.seq);
         return;
     }
     // The agent releases the request line at the start of its tenure.
-    auto it = std::find(batch_.begin(), batch_.end(), req.seq);
-    BUSARB_ASSERT(it != batch_.end(), "served request was not in batch");
-    batch_.erase(it);
-    pending_.popBySeq(req.agent, req.seq);
-    if (batch_.empty()) {
+    const auto a = static_cast<std::size_t>(req.agent);
+    BUSARB_ASSERT(batchCount_[a] > 0, "served request was not in batch");
+    if (--batchCount_[a] == 0)
+        batchMask_[a >> 6] &= ~(1ULL << (a & 63));
+    if (--batchSize_ == 0) {
         // The request line drops to 0: every waiting request asserts it
         // and the next batch forms.
         formNewBatch(now);
@@ -155,11 +146,16 @@ BatchAapProtocol::tenureStarted(const Request &req, Tick now)
 int
 BatchAapProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
-    for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(linesForAgents(numAgents_), competitors);
+    // Every applied word, rebuilt from the frozen masks: an agent with
+    // both a priority request and a batch member drives both.
+    settle_.clear();
+    forEachAgentIn(frozenPriority_, [&](AgentId a) {
+        settle_.add(a, (1ULL << idBits_) | static_cast<std::uint64_t>(a));
+    });
+    forEachAgentIn(frozenBatch_, [&](AgentId a) {
+        settle_.add(a, static_cast<std::uint64_t>(a));
+    });
+    return settle_.rounds();
 }
 
 std::string

@@ -69,8 +69,19 @@ class BatchAapProtocol : public ArbitrationProtocol
     bool passOpen_ = false;
     std::uint64_t batchesFormed_ = 0;
 
-    /** seq numbers of the requests in the current batch. */
-    std::vector<std::uint64_t> batch_;
+    /**
+     * Batch members per agent (index by agent id). They are always the
+     * agent's oldest non-priority requests: a batch takes every waiting
+     * non-priority request when it forms, and later arrivals queue
+     * behind them.
+     */
+    std::vector<std::uint32_t> batchCount_;
+
+    /** Agents with at least one batch member. */
+    AgentMask batchMask_;
+
+    /** Members in the current batch. */
+    std::size_t batchSize_ = 0;
 
     /**
      * Tick at which the current batch formed. Requests issued at the
@@ -79,16 +90,15 @@ class BatchAapProtocol : public ArbitrationProtocol
      */
     Tick batchFormedAt_ = -1;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** Batch agents and priority agents when the open pass began. */
+    AgentMask frozenBatch_;
+    AgentMask frozenPriority_;
 
-    /** @return True if `seq` is a member of the current batch. */
-    bool inBatch(std::uint64_t seq) const;
+    /** Reused by settleRoundsForPass(). */
+    mutable SettleCounter settle_;
+
+    /** Add one member of `agent` to the batch. */
+    void joinBatch(AgentId agent, std::uint32_t members);
 
     /** Move every deferred pending request into a fresh batch. */
     void formNewBatch(Tick now);

@@ -20,6 +20,7 @@ FuturebusAapProtocol::reset(int num_agents)
     frozen_.clear();
     passOpen_ = false;
     releases_ = 0;
+    settle_.reset(idBits_ + (enablePriority_ ? 1 : 0));
 }
 
 bool
@@ -55,23 +56,15 @@ FuturebusAapProtocol::beginPass(Tick now)
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
     frozen_.clear();
-    std::vector<bool> prio_added(
-        static_cast<std::size_t>(numAgents_) + 1, false);
-    pending_.forEach([&](PendingEntry &e) {
-        if (e.req.priority &&
-            !prio_added[static_cast<std::size_t>(e.req.agent)]) {
-            // Priority requests ignore the inhibit protocol and assert
-            // the priority line (most significant bit); an agent
-            // presents its oldest priority request.
-            prio_added[static_cast<std::size_t>(e.req.agent)] = true;
-            frozen_.push_back(FrozenCompetitor{
-                e.req.agent,
-                (1ULL << idBits_) |
-                    static_cast<std::uint64_t>(e.req.agent),
-                e.req.seq});
-        }
+    // Priority requests ignore the inhibit protocol and assert the
+    // priority line (most significant bit); an agent presents its oldest
+    // priority request.
+    forEachAgentIn(pending_.priorityMask(), [&](AgentId a) {
+        frozen_.push_back(FrozenCompetitor{
+            a, (1ULL << idBits_) | static_cast<std::uint64_t>(a),
+            pending_.oldestOfClass(a, true).req.seq});
     });
-    pending_.forEachAgentOldest([&](PendingEntry &e) {
+    pending_.forEachAgentOldest([&](const PendingEntry &e) {
         if (e.req.priority)
             return; // already competing above
         if (inhibited_[static_cast<std::size_t>(e.req.agent)])
@@ -130,11 +123,10 @@ FuturebusAapProtocol::tenureEnded(const Request &req, Tick now)
 int
 FuturebusAapProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
+    settle_.clear();
     for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(linesForAgents(numAgents_), competitors);
+        settle_.add(c.agent, c.word);
+    return settle_.rounds();
 }
 
 std::string

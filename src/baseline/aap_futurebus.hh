@@ -77,6 +77,9 @@ class FuturebusAapProtocol : public ArbitrationProtocol
         std::uint64_t seq;
     };
     std::vector<FrozenCompetitor> frozen_;
+
+    /** Reused by settleRoundsForPass(). */
+    mutable SettleCounter settle_;
 };
 
 } // namespace busarb

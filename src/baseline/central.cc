@@ -40,7 +40,7 @@ CentralRoundRobinProtocol::beginPass(Tick now)
     passOpen_ = true;
     frozenSeqs_.clear();
     frozenAgents_.clear();
-    pending_.forEachAgentOldest([&](PendingEntry &e) {
+    pending_.forEachAgentOldest([&](const PendingEntry &e) {
         frozenAgents_.push_back(e.req.agent);
         frozenSeqs_.push_back(e.req.seq);
     });
@@ -128,7 +128,7 @@ CentralFcfsProtocol::beginPass(Tick now)
     passOpen_ = true;
     frozenSeqs_.clear();
     frozenAgents_.clear();
-    pending_.forEachAgentOldest([&](PendingEntry &e) {
+    pending_.forEachAgentOldest([&](const PendingEntry &e) {
         frozenAgents_.push_back(e.req.agent);
         frozenSeqs_.push_back(e.req.seq);
     });

@@ -18,6 +18,7 @@ FixedPriorityProtocol::reset(int num_agents)
     pending_.reset(num_agents);
     frozen_.clear();
     passOpen_ = false;
+    settle_.reset(idBits_ + (enablePriority_ ? 1 : 0));
 }
 
 void
@@ -43,7 +44,7 @@ FixedPriorityProtocol::beginPass(Tick now)
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
     frozen_.clear();
-    pending_.forEachAgentOldest([&](PendingEntry &e) {
+    pending_.forEachAgentOldest([&](const PendingEntry &e) {
         std::uint64_t word = static_cast<std::uint64_t>(e.req.agent);
         if (enablePriority_ && e.req.priority)
             word |= 1ULL << idBits_;
@@ -53,9 +54,9 @@ FixedPriorityProtocol::beginPass(Tick now)
         // An agent with both classes pending presents its priority
         // request; rebuild per-agent words accordingly.
         for (auto &c : frozen_) {
-            PendingEntry *best = nullptr;
+            const PendingEntry *best = nullptr;
             std::uint64_t best_word = 0;
-            pending_.forEachOfAgent(c.agent, [&](PendingEntry &e) {
+            pending_.forEachOfAgent(c.agent, [&](const PendingEntry &e) {
                 std::uint64_t w = static_cast<std::uint64_t>(e.req.agent);
                 if (e.req.priority)
                     w |= 1ULL << idBits_;
@@ -101,11 +102,10 @@ FixedPriorityProtocol::tenureStarted(const Request &req, Tick now)
 int
 FixedPriorityProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
+    settle_.clear();
     for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(idBits_ + (enablePriority_ ? 1 : 0), competitors);
+        settle_.add(c.agent, c.word);
+    return settle_.rounds();
 }
 
 std::string

@@ -61,6 +61,9 @@ class FixedPriorityProtocol : public ArbitrationProtocol
         std::uint64_t seq;
     };
     std::vector<FrozenCompetitor> frozen_;
+
+    /** Reused by settleRoundsForPass(). */
+    mutable SettleCounter settle_;
 };
 
 } // namespace busarb

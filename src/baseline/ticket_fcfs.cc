@@ -27,12 +27,11 @@ TicketFcfsProtocol::requestPosted(const Request &req)
 {
     BUSARB_ASSERT(!req.priority,
                   "the ticket arbiter models non-priority traffic only");
-    PendingEntry &entry = pending_.add(req);
     std::uint64_t ticket = nextTicket_++;
     if (config_.ticketBits > 0)
         ticket &= (1ULL << config_.ticketBits) - 1ULL;
-    // Reuse the entry's counter field to hold the ticket.
-    entry.counter = ticket;
+    // The entry's stamp holds the ticket.
+    pending_.add(req, ticket);
 }
 
 bool
@@ -61,9 +60,9 @@ TicketFcfsProtocol::beginPass(Tick now)
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
     frozen_.clear();
-    pending_.forEachAgentOldest([&](PendingEntry &e) {
+    pending_.forEachAgentOldest([&](const PendingEntry &e) {
         frozen_.push_back(
-            FrozenCompetitor{e.req.agent, e.counter, e.req.seq});
+            FrozenCompetitor{e.req.agent, e.stamp, e.req.seq});
     });
 }
 

@@ -115,12 +115,6 @@ selectMax(const std::vector<Competitor> &competitors)
 }
 
 int
-settleRounds(int num_lines, const std::vector<Competitor> &competitors)
-{
-    return ContentionArbiter(num_lines).settle(competitors).rounds;
-}
-
-int
 linesForAgents(int num_agents)
 {
     BUSARB_ASSERT(num_agents >= 1, "need at least one agent");

@@ -116,13 +116,42 @@ AgentId selectMax(const std::vector<Competitor> &competitors);
 int linesForAgents(int num_agents);
 
 /**
- * Convenience: the settle-round count for one contest.
- *
- * @param num_lines Arbitration line count k.
- * @param competitors Competing words (may be empty: 0 rounds).
- * @return Propagation rounds the wired-OR lines need to settle.
+ * Settle-round counting for one protocol's passes: an arbiter sized at
+ * reset plus a competitor list that keeps its capacity, so a pass's
+ * settle timing allocates nothing once the list has grown to the
+ * largest contest.
  */
-int settleRounds(int num_lines, const std::vector<Competitor> &competitors);
+class SettleCounter
+{
+  public:
+    /** Size for `num_lines` arbitration lines and forget competitors. */
+    void
+    reset(int num_lines)
+    {
+        arbiter_ = ContentionArbiter(num_lines);
+        competitors_.clear();
+    }
+
+    /** Start a new contest. */
+    void clear() { competitors_.clear(); }
+
+    /** Add a competitor applying `word`. */
+    void
+    add(AgentId agent, std::uint64_t word)
+    {
+        competitors_.push_back(Competitor{agent, word});
+    }
+
+    /**
+     * @return Propagation rounds the wired-OR lines need to settle over
+     *         the competitors added since clear() (0 if none).
+     */
+    int rounds() const { return arbiter_.settle(competitors_).rounds; }
+
+  private:
+    ContentionArbiter arbiter_{1};
+    std::vector<Competitor> competitors_;
+};
 
 } // namespace busarb
 

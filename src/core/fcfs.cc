@@ -50,12 +50,16 @@ FcfsProtocol::reset(int num_agents)
                                        : ((1ULL << counterBits_) - 1ULL);
     windowTicks_ = unitsToTicks(config_.incrWindow);
     pending_.reset(num_agents);
-    frozen_.clear();
+    frozen_ = pending_.requestMask();
+    scanned_ = frozen_;
+    presented_.assign(static_cast<std::size_t>(num_agents) + 1, {});
+    late_.clear();
     passOpen_ = false;
-    streams_ = {};
-    overflowEvents_ = 0;
+    clocks_ = {};
+    retiredOverflows_ = 0;
     tiedArrivals_ = 0;
     arrivalsSinceLastArb_ = 0;
+    settle_.reset(numLines());
 }
 
 int
@@ -65,10 +69,12 @@ FcfsProtocol::numLines() const
 }
 
 int
-FcfsProtocol::streamIndex(bool priority) const
+FcfsProtocol::clockIndex(bool priority) const
 {
+    // kMatchedIncrement (strategy 1) and kDualIncrLines (strategy 2)
+    // give the priority class a count of its own.
     if (config_.enablePriority &&
-        config_.priorityCounting == PriorityCounting::kDualIncrLines) {
+        config_.priorityCounting != PriorityCounting::kAlwaysIncrement) {
         return priority ? 1 : 0;
     }
     return 0;
@@ -82,41 +88,43 @@ FcfsProtocol::requestPosted(const Request &req)
     if (req.priority && !config_.enablePriority)
         BUSARB_FATAL("priority request posted but enablePriority is off");
 
-    PendingEntry &entry = pending_.add(req);
+    EventClock &clock =
+        clocks_[static_cast<std::size_t>(clockIndex(req.priority))];
     if (config_.strategy == FcfsStrategy::kIncrLine) {
-        PulseStream &stream = streams_[static_cast<std::size_t>(
-            streamIndex(req.priority))];
         const bool line_idle =
-            !stream.anyPulse || (req.issued - stream.lastPulse >=
-                                 windowTicks_);
+            !clock.anyPulse || (req.issued - clock.lastPulse >=
+                                windowTicks_);
         if (line_idle) {
             // The agent senses 0 on a-incr and pulses it; every waiting
-            // request of this stream counts the pulse.
-            ++stream.count;
-            stream.lastPulse = req.issued;
-            stream.anyPulse = true;
-            // Detect counters that just crossed the width limit.
-            pending_.forEach([&](PendingEntry &e) {
-                if (e.req.seq == req.seq)
-                    return;
-                if (streamIndex(e.req.priority) !=
-                    streamIndex(req.priority)) {
-                    return;
-                }
-                if (stream.count - e.epoch == counterMax_ + 1)
-                    ++overflowEvents_;
-            });
+            // request of this class counts the pulse.
+            ++clock.count;
+            clock.lastPulse = req.issued;
+            clock.anyPulse = true;
         } else {
             // a-incr is already asserted: this request shares the pulse
             // (and therefore the counter value) of the previous arrival.
             ++tiedArrivals_;
         }
-        entry.epoch = stream.count;
-    } else {
-        if (arrivalsSinceLastArb_ > 0)
-            ++tiedArrivals_;
-        ++arrivalsSinceLastArb_;
+        pending_.add(req, clock.count);
+        return;
     }
+
+    // Strategy 1: the counter starts at zero and advances with each
+    // arbitration the request observes and loses. A request posted
+    // while a pass is open does not observe that pass.
+    std::uint64_t stamp = clock.count;
+    if (passOpen_) {
+        if (config_.enablePriority &&
+            config_.priorityCounting == PriorityCounting::kMatchedIncrement) {
+            late_.emplace_back(req.agent, req.seq);
+        } else {
+            ++stamp; // the open pass advances the only count
+        }
+    }
+    pending_.add(req, stamp);
+    if (arrivalsSinceLastArb_ > 0)
+        ++tiedArrivals_;
+    ++arrivalsSinceLastArb_;
 }
 
 bool
@@ -126,53 +134,57 @@ FcfsProtocol::wantsPass() const
 }
 
 std::uint64_t
-FcfsProtocol::effectiveCounter(const PendingEntry &e) const
+FcfsProtocol::rawCounter(const PendingEntry &e) const
 {
-    std::uint64_t raw;
-    if (config_.strategy == FcfsStrategy::kIncrementOnLose) {
-        raw = e.counter;
-    } else {
-        const auto &stream = streams_[static_cast<std::size_t>(
-            streamIndex(e.req.priority))];
-        raw = stream.count - e.epoch;
-    }
-    if (raw <= counterMax_)
-        return raw;
-    return (config_.overflow == OverflowPolicy::kSaturate)
-               ? counterMax_
-               : (raw & counterMax_);
+    return clocks_[static_cast<std::size_t>(clockIndex(e.req.priority))]
+               .count -
+           e.stamp;
 }
 
 std::uint64_t
 FcfsProtocol::wordFor(const PendingEntry &e) const
 {
-    const auto id = static_cast<std::uint64_t>(e.req.agent);
-    std::uint64_t word = (effectiveCounter(e) << idBits_) | id;
+    std::uint64_t counter = rawCounter(e);
+    if (counter > counterMax_) {
+        counter = (config_.overflow == OverflowPolicy::kSaturate)
+                      ? counterMax_
+                      : (counter & counterMax_);
+    }
+    std::uint64_t word = (counter << idBits_) |
+                         static_cast<std::uint64_t>(e.req.agent);
     if (config_.enablePriority && e.req.priority)
         word |= 1ULL << (counterBits_ + idBits_);
     return word;
 }
 
-PendingEntry &
-FcfsProtocol::competingEntry(AgentId agent, std::uint64_t &word)
+bool
+FcfsProtocol::scansPresented() const
 {
-    // Closed workloads keep one outstanding request per agent, so the
-    // single-entry case is the hot path.
-    PendingEntry &front = pending_.oldest(agent);
-    word = wordFor(front);
-    if (pending_.numOfAgent(agent) == 1)
-        return front;
-    PendingEntry *best = &front;
-    std::uint64_t best_word = word;
-    pending_.forEachOfAgent(agent, [&](PendingEntry &e) {
-        const std::uint64_t w = wordFor(e);
-        if (w > best_word) {
-            best = &e;
-            best_word = w;
-        }
+    return config_.enablePriority ||
+           config_.overflow == OverflowPolicy::kWrap;
+}
+
+const PendingEntry &
+FcfsProtocol::presentedBy(AgentId agent) const
+{
+    return maskHas(scanned_, agent)
+               ? presented_[static_cast<std::size_t>(agent)]
+               : pending_.oldest(agent);
+}
+
+std::uint64_t
+FcfsProtocol::overflowEvents() const
+{
+    std::uint64_t events = retiredOverflows_;
+    pending_.forEach([&](const PendingEntry &e) {
+        // A request posted during the open pass is stamped ahead of the
+        // count; it has not started counting yet.
+        const auto &clock =
+            clocks_[static_cast<std::size_t>(clockIndex(e.req.priority))];
+        if (e.stamp <= clock.count && rawCounter(e) > counterMax_)
+            ++events;
     });
-    word = best_word;
-    return *best;
+    return events;
 }
 
 void
@@ -181,14 +193,29 @@ FcfsProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    // Requests present now participate (or at least observe) this
+    // Requests present now compete in (or at least observe) this
     // arbitration; requests posted later do not.
-    pending_.forEach([](PendingEntry &e) { e.inPass = true; });
-    pending_.forEachAgentWithRequests([&](AgentId a) {
-        std::uint64_t word = 0;
-        PendingEntry &e = competingEntry(a, word);
-        frozen_.push_back(FrozenCompetitor{a, word, e.req.seq});
+    frozen_ = pending_.requestMask();
+    if (!scansPresented())
+        return;
+    // An agent presents its maximum-word request. Without priority or
+    // wrapping that is always its oldest (counters never shrink with
+    // age); otherwise agents with several requests pick by scan, and
+    // ties keep the oldest.
+    const AgentMask &multi = pending_.multiMask();
+    for (std::size_t w = 0; w < scanned_.size(); ++w)
+        scanned_[w] = frozen_[w] & multi[w];
+    forEachAgentIn(scanned_, [&](AgentId a) {
+        const PendingEntry *best = nullptr;
+        std::uint64_t best_word = 0;
+        pending_.forEachOfAgent(a, [&](const PendingEntry &e) {
+            const std::uint64_t word = wordFor(e);
+            if (best == nullptr || word > best_word) {
+                best = &e;
+                best_word = word;
+            }
+        });
+        presented_[static_cast<std::size_t>(a)] = *best;
     });
 }
 
@@ -199,53 +226,63 @@ FcfsProtocol::completePass(Tick now)
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
 
-    if (frozen_.empty()) {
+    // The wired-OR maximum over the frozen competitors' words, taken at
+    // resolution time: for the a-incr strategy, pulses that occurred
+    // during the pass have already advanced the counters the agents
+    // apply. The static identity in the low bits names the winner.
+    std::uint64_t best = 0;
+    if (scansPresented()) {
+        forEachAgentIn(frozen_, [&](AgentId a) {
+            best = std::max(best, wordFor(presentedBy(a)));
+        });
+    } else {
+        // One class, clipped counters: every agent presents its oldest
+        // request, and the word is (saturated counter, identity).
+        const std::uint64_t count = clocks_[0].count;
+        const std::uint64_t limit = counterMax_;
+        const int shift = idBits_;
+        pending_.forEachOldestIn(frozen_, [&](const PendingEntry &e) {
+            const std::uint64_t counter = std::min(count - e.stamp, limit);
+            best = std::max(best, (counter << shift) |
+                                      static_cast<std::uint64_t>(
+                                          e.req.agent));
+        });
+    }
+    if (best == 0) {
         BUSARB_ASSERT(pending_.empty(),
                       "FCFS pass frozen empty with requests pending");
         return PassResult::makeIdle();
     }
 
-    // Re-evaluate the frozen competitors' words at resolution time: for
-    // the a-incr strategy, pulses that occurred during the pass have
-    // already advanced the waiting-time counters the agents are applying.
-    const FrozenCompetitor *best = nullptr;
-    std::uint64_t best_word = 0;
-    for (auto &c : frozen_) {
-        PendingEntry *e = pending_.findBySeq(c.agent, c.seq);
-        BUSARB_ASSERT(e != nullptr, "frozen request vanished");
-        const std::uint64_t w = wordFor(*e);
-        BUSARB_ASSERT(best == nullptr || w != best_word,
-                      "duplicate arbitration word");
-        if (best == nullptr || w > best_word) {
-            best = &c;
-            best_word = w;
-        }
-    }
-
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
-    const Request won = winner->req;
+    const auto winner =
+        static_cast<AgentId>(best & ((1ULL << idBits_) - 1ULL));
+    PendingEntry *entry =
+        maskHas(scanned_, winner)
+            ? pending_.findBySeq(
+                  winner,
+                  presented_[static_cast<std::size_t>(winner)].req.seq)
+            : &pending_.oldest(winner);
+    BUSARB_ASSERT(entry != nullptr, "winning request vanished");
+    const Request won = entry->req;
 
     if (config_.strategy == FcfsStrategy::kIncrementOnLose) {
-        // Every request that observed this arbitration and was not served
-        // increments its waiting-time counter (subject to the priority
-        // counting rule).
-        pending_.forEach([&](PendingEntry &e) {
-            if (!e.inPass || e.req.seq == won.seq)
-                return;
-            if (config_.enablePriority &&
-                config_.priorityCounting ==
-                    PriorityCounting::kMatchedIncrement &&
-                e.req.priority != won.priority) {
-                return;
-            }
-            ++e.counter;
-            if (e.counter == counterMax_ + 1)
-                ++overflowEvents_;
-        });
+        // Every request that observed this arbitration and was not
+        // served increments its waiting-time counter (subject to the
+        // priority counting rule): one step of its class's count. The
+        // winner and the requests that did not observe the pass keep
+        // their counters, so their stamps move with the count.
+        const int index = clockIndex(won.priority);
+        ++clocks_[static_cast<std::size_t>(index)].count;
+        ++entry->stamp;
+        for (const auto &[agent, seq] : late_) {
+            PendingEntry *e = pending_.findBySeq(agent, seq);
+            BUSARB_ASSERT(e != nullptr, "late request vanished");
+            if (clockIndex(e->req.priority) == index)
+                ++e->stamp;
+        }
+        late_.clear();
         arrivalsSinceLastArb_ = 0;
     }
-    pending_.forEach([](PendingEntry &e) { e.inPass = false; });
-
     return PassResult::makeWinner(won);
 }
 
@@ -253,6 +290,10 @@ void
 FcfsProtocol::tenureStarted(const Request &req, Tick now)
 {
     (void)now;
+    const PendingEntry *entry = pending_.findBySeq(req.agent, req.seq);
+    BUSARB_ASSERT(entry != nullptr, "served request is not pending");
+    if (rawCounter(*entry) > counterMax_)
+        ++retiredOverflows_;
     pending_.popBySeq(req.agent, req.seq);
 }
 
@@ -262,11 +303,11 @@ FcfsProtocol::settleRoundsForPass() const
     // The FCFS identities are wider (counter + static id), so the same
     // contest costs more settle rounds than under RR — the efficiency
     // difference Section 3.2 discusses.
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
-    for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(numLines(), competitors);
+    settle_.clear();
+    forEachAgentIn(frozen_, [&](AgentId a) {
+        settle_.add(a, wordFor(presentedBy(a)));
+    });
+    return settle_.rounds();
 }
 
 std::string

@@ -37,6 +37,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bus/contention.hh"
@@ -141,8 +142,11 @@ class FcfsProtocol : public ArbitrationProtocol
     /** @return Total arbitration lines used (priority + counter + id). */
     int numLines() const;
 
-    /** @return Times a counter hit its width limit (overflow events). */
-    std::uint64_t overflowEvents() const { return overflowEvents_; }
+    /**
+     * @return Requests whose raw counter has exceeded the counter width
+     *         (overflow events), served or still pending.
+     */
+    std::uint64_t overflowEvents() const;
 
     /**
      * @return Number of requests that arrived sharing a pulse window /
@@ -160,43 +164,67 @@ class FcfsProtocol : public ArbitrationProtocol
     Tick windowTicks_ = 0;
     PendingRequests pending_;
     bool passOpen_ = false;
-    std::uint64_t overflowEvents_ = 0;
+    std::uint64_t retiredOverflows_ = 0;
     std::uint64_t tiedArrivals_ = 0;
     std::uint64_t arrivalsSinceLastArb_ = 0;
 
-    /** Pulse stream state for strategy 2 (index 1 used for the separate
-     *  priority line under kDualIncrLines; otherwise only index 0). */
-    struct PulseStream
+    /**
+     * A global event count that waiting-time counters measure: a
+     * request's counter is the count minus the stamp it got on arrival.
+     * Strategy 1 counts resolved arbitrations (a request's winning pass
+     * excluded), strategy 2 counts a-incr pulses. Index 1 is the
+     * priority class's own count under kMatchedIncrement and
+     * kDualIncrLines; otherwise only index 0 is used.
+     */
+    struct EventClock
     {
         std::uint64_t count = 0;
         Tick lastPulse = -1;
         bool anyPulse = false;
     };
-    std::array<PulseStream, 2> streams_;
+    std::array<EventClock, 2> clocks_;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** Agents with a pending request when the open pass began. */
+    AgentMask frozen_;
 
-    /** @return Index of the pulse stream a request of `priority` uses. */
-    int streamIndex(bool priority) const;
+    /**
+     * Frozen agents whose presented request was chosen by a scan at
+     * beginPass: those with more than one pending request when priority
+     * or wrapping counters can make a newer request outrank the oldest.
+     */
+    AgentMask scanned_;
 
-    /** @return The effective (width-limited) counter value of `e`. */
-    std::uint64_t effectiveCounter(const PendingEntry &e) const;
+    /** The request each scanned agent presents (index by agent id). */
+    std::vector<PendingEntry> presented_;
+
+    /**
+     * (agent, seq) of requests posted while a pass was open under
+     * kMatchedIncrement: whether that pass advances their class's count
+     * is only known when it resolves.
+     */
+    std::vector<std::pair<AgentId, std::uint64_t>> late_;
+
+    /** Reused by settleRoundsForPass(). */
+    mutable SettleCounter settle_;
+
+    /** @return Index of the event clock a request of `priority` uses. */
+    int clockIndex(bool priority) const;
+
+    /** @return The raw (unclipped) waiting-time counter of `e`. */
+    std::uint64_t rawCounter(const PendingEntry &e) const;
 
     /** @return The full arbitration word for entry `e`. */
     std::uint64_t wordFor(const PendingEntry &e) const;
 
     /**
-     * Entry an agent presents: its maximum-word pending request.
-     * Returns the word through `word` so the begin-pass loop computes
-     * it exactly once per competitor.
+     * @return True if a newer request can outrank an agent's oldest
+     *         (priority requests, or wrapping counters), so agents with
+     *         several requests pick theirs by scan.
      */
-    PendingEntry &competingEntry(AgentId agent, std::uint64_t &word);
+    bool scansPresented() const;
+
+    /** @return The request frozen agent `agent` presents this pass. */
+    const PendingEntry &presentedBy(AgentId agent) const;
 };
 
 } // namespace busarb

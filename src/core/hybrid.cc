@@ -20,9 +20,11 @@ HybridProtocol::reset(int num_agents)
         (config_.counterBits > 0) ? config_.counterBits : idBits_;
     counterMax_ = (1ULL << counterBits_) - 1ULL;
     recordedWinner_ = num_agents + 1;
+    passesDone_ = 0;
     pending_.reset(num_agents);
     frozen_.clear();
     passOpen_ = false;
+    settle_.reset(counterBits_ + 1 + idBits_);
 }
 
 void
@@ -32,7 +34,9 @@ HybridProtocol::requestPosted(const Request &req)
                   "agent id out of range: ", req.agent);
     BUSARB_ASSERT(!req.priority,
                   "the hybrid protocol does not support priority requests");
-    pending_.add(req);
+    // The counter advances with each arbitration the request observes
+    // and loses; a request posted while a pass is open misses that one.
+    pending_.add(req, passesDone_ + (passOpen_ ? 1 : 0));
 }
 
 bool
@@ -45,8 +49,9 @@ std::uint64_t
 HybridProtocol::wordFor(const PendingEntry &e) const
 {
     const auto id = static_cast<std::uint64_t>(e.req.agent);
+    const std::uint64_t waited = passesDone_ - e.stamp;
     const std::uint64_t counter =
-        (e.counter <= counterMax_) ? e.counter : counterMax_;
+        (waited <= counterMax_) ? waited : counterMax_;
     const std::uint64_t rr_bit =
         (e.req.agent < recordedWinner_) ? 1ULL : 0ULL;
     return (counter << (idBits_ + 1)) | (rr_bit << idBits_) | id;
@@ -59,8 +64,7 @@ HybridProtocol::beginPass(Tick now)
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
     frozen_.clear();
-    pending_.forEach([](PendingEntry &e) { e.inPass = true; });
-    pending_.forEachAgentOldest([&](PendingEntry &e) {
+    pending_.forEachAgentOldest([&](const PendingEntry &e) {
         // One outstanding word per agent; the oldest request has the
         // largest counter, so it is the one the agent presents.
         frozen_.push_back(
@@ -92,11 +96,10 @@ HybridProtocol::completePass(Tick now)
     const Request won = winner->req;
 
     recordedWinner_ = won.agent;
-    pending_.forEach([&](PendingEntry &e) {
-        if (e.inPass && e.req.seq != won.seq)
-            ++e.counter;
-        e.inPass = false;
-    });
+    // Every other request that observed this arbitration increments its
+    // counter: one step of the pass count. The winner keeps its own.
+    ++passesDone_;
+    ++winner->stamp;
 
     return PassResult::makeWinner(won);
 }
@@ -111,11 +114,10 @@ HybridProtocol::tenureStarted(const Request &req, Tick now)
 int
 HybridProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
+    settle_.clear();
     for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(counterBits_ + 1 + idBits_, competitors);
+        settle_.add(c.agent, c.word);
+    return settle_.rounds();
 }
 
 std::string

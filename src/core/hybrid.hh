@@ -69,6 +69,8 @@ class HybridProtocol : public ArbitrationProtocol
     int counterBits_ = 0;
     std::uint64_t counterMax_ = 0;
     AgentId recordedWinner_ = 0;
+    /** Resolved passes; a request's counter is this minus its stamp. */
+    std::uint64_t passesDone_ = 0;
     PendingRequests pending_;
     bool passOpen_ = false;
 
@@ -79,6 +81,9 @@ class HybridProtocol : public ArbitrationProtocol
         std::uint64_t seq;
     };
     std::vector<FrozenCompetitor> frozen_;
+
+    /** Reused by settleRoundsForPass(). */
+    mutable SettleCounter settle_;
 
     std::uint64_t wordFor(const PendingEntry &e) const;
 };

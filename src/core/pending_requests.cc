@@ -6,44 +6,53 @@
 
 namespace busarb {
 
+namespace {
+
+void
+setMaskBit(AgentMask &mask, AgentId agent)
+{
+    const auto bit = static_cast<std::size_t>(agent);
+    mask[bit >> 6] |= 1ULL << (bit & 63);
+}
+
+void
+clearMaskBit(AgentMask &mask, AgentId agent)
+{
+    const auto bit = static_cast<std::size_t>(agent);
+    mask[bit >> 6] &= ~(1ULL << (bit & 63));
+}
+
+} // namespace
+
 void
 PendingRequests::reset(int num_agents)
 {
     BUSARB_ASSERT(num_agents >= 1, "need at least one agent");
     slot_.assign(static_cast<std::size_t>(num_agents) + 1, {});
     overflow_.assign(slot_.size(), {});
+    priorityCount_.assign(slot_.size(), 0);
     mask_.assign((slot_.size() + 63) / 64, 0);
+    priorityMask_ = mask_;
+    multiMask_ = mask_;
     total_ = 0;
 }
 
 void
-PendingRequests::setBit(AgentId agent)
-{
-    const auto bit = static_cast<std::size_t>(agent);
-    mask_[bit >> 6] |= 1ULL << (bit & 63);
-}
-
-void
-PendingRequests::clearBit(AgentId agent)
-{
-    const auto bit = static_cast<std::size_t>(agent);
-    mask_[bit >> 6] &= ~(1ULL << (bit & 63));
-}
-
-PendingEntry &
-PendingRequests::add(const Request &req)
+PendingRequests::add(const Request &req, std::uint64_t stamp)
 {
     BUSARB_ASSERT(req.agent >= 1 && req.agent <= numAgents(),
                   "agent id out of range: ", req.agent);
     const auto a = static_cast<std::size_t>(req.agent);
     ++total_;
+    if (req.priority && priorityCount_[a]++ == 0)
+        setMaskBit(priorityMask_, req.agent);
     if (!hasAgent(req.agent)) {
-        slot_[a] = PendingEntry{req, 0, 0, false};
-        setBit(req.agent);
-        return slot_[a];
+        slot_[a] = PendingEntry{req, stamp};
+        setMaskBit(mask_, req.agent);
+        return;
     }
-    overflow_[a].push_back(PendingEntry{req, 0, 0, false});
-    return overflow_[a].back();
+    overflow_[a].push_back(PendingEntry{req, stamp});
+    setMaskBit(multiMask_, req.agent);
 }
 
 PendingEntry &
@@ -62,13 +71,18 @@ PendingRequests::oldest(AgentId agent) const
     return slot_[static_cast<std::size_t>(agent)];
 }
 
-std::vector<AgentId>
-PendingRequests::agentsWithRequests() const
+PendingEntry &
+PendingRequests::oldestOfClass(AgentId agent, bool priority)
 {
-    std::vector<AgentId> result;
-    forEachAgentWithRequests(
-        [&result](AgentId agent) { result.push_back(agent); });
-    return result;
+    PendingEntry &front = oldest(agent);
+    if (front.req.priority == priority)
+        return front;
+    for (auto &entry : overflow_[static_cast<std::size_t>(agent)]) {
+        if (entry.req.priority == priority)
+            return entry;
+    }
+    BUSARB_PANIC("agent ", agent, " has no pending ",
+                 priority ? "priority" : "non-priority", " request");
 }
 
 PendingEntry *
@@ -88,6 +102,18 @@ PendingRequests::findBySeq(AgentId agent, std::uint64_t seq)
     return nullptr;
 }
 
+void
+PendingRequests::removed(const Request &req)
+{
+    const auto a = static_cast<std::size_t>(req.agent);
+    if (overflow_[a].empty())
+        clearMaskBit(multiMask_, req.agent);
+    if (req.priority && --priorityCount_[a] == 0)
+        clearMaskBit(priorityMask_, req.agent);
+    BUSARB_ASSERT(total_ > 0, "pending count underflow");
+    --total_;
+}
+
 Request
 PendingRequests::popBySeq(AgentId agent, std::uint64_t seq)
 {
@@ -101,8 +127,7 @@ PendingRequests::popBySeq(AgentId agent, std::uint64_t seq)
         if (it->req.seq == seq) {
             const Request req = it->req;
             dq.erase(it);
-            BUSARB_ASSERT(total_ > 0, "pending count underflow");
-            --total_;
+            removed(req);
             return req;
         }
     }
@@ -118,13 +143,12 @@ PendingRequests::popOldest(AgentId agent)
     const Request req = slot_[a].req;
     auto &dq = overflow_[a];
     if (dq.empty()) {
-        clearBit(agent);
+        clearMaskBit(mask_, agent);
     } else {
         slot_[a] = std::move(dq.front());
         dq.pop_front();
     }
-    BUSARB_ASSERT(total_ > 0, "pending count underflow");
-    --total_;
+    removed(req);
     return req;
 }
 

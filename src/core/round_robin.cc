@@ -25,8 +25,10 @@ RoundRobinProtocol::reset(int num_agents)
     // the highest requesting identity wins.
     recordedWinner_ = num_agents + 1;
     pending_.reset(num_agents);
-    frozen_.clear();
+    frozen_ = pending_.requestMask();
+    frozenPriority_ = pending_.priorityMask();
     passOpen_ = false;
+    settle_.reset(numLines());
 }
 
 int
@@ -61,56 +63,34 @@ RoundRobinProtocol::wantsPass() const
     return !pending_.empty();
 }
 
-std::uint64_t
-RoundRobinProtocol::wordFor(const PendingEntry &e) const
+AgentId
+RoundRobinProtocol::nextInRoundRobinOrder(const AgentMask &set) const
 {
-    const auto id = static_cast<std::uint64_t>(e.req.agent);
-    switch (config_.impl) {
-      case RrImplementation::kPriorityBit: {
-        std::uint64_t rr_bit;
-        if (e.req.priority && !config_.rrWithinPriorityClass) {
-            // "Agents may ignore the round-robin protocol for priority
-            // requests by always setting the round-robin priority bit."
-            rr_bit = 1;
-        } else {
-            rr_bit = (e.req.agent < recordedWinner_) ? 1 : 0;
-        }
-        std::uint64_t word = (rr_bit << idBits_) | id;
-        if (config_.enablePriority && e.req.priority)
-            word |= 1ULL << (idBits_ + 1);
-        return word;
-      }
-      case RrImplementation::kLowRequestLine:
-      case RrImplementation::kNoExtraLine:
+    const AgentId low = highestAgentBelow(set, recordedWinner_);
+    return low != kNoAgent ? low : highestAgent(set);
+}
+
+std::uint64_t
+RoundRobinProtocol::wordFor(AgentId agent) const
+{
+    const auto id = static_cast<std::uint64_t>(agent);
+    if (config_.impl != RrImplementation::kPriorityBit) {
         // Gating decides who competes; the word is the static identity.
         return id;
     }
-    BUSARB_PANIC("unreachable");
-}
-
-PendingEntry &
-RoundRobinProtocol::competingEntry(AgentId agent, std::uint64_t &word)
-{
-    // The request an agent presents is the one with the largest
-    // arbitration word (priority requests dominate; otherwise requests of
-    // one agent share the same word, so the oldest is presented). Closed
-    // workloads keep one outstanding request per agent, so the
-    // single-entry case is the hot path.
-    PendingEntry &front = pending_.oldest(agent);
-    word = wordFor(front);
-    if (pending_.numOfAgent(agent) == 1)
-        return front;
-    PendingEntry *best = &front;
-    std::uint64_t best_word = word;
-    pending_.forEachOfAgent(agent, [&](PendingEntry &e) {
-        const std::uint64_t w = wordFor(e);
-        if (w > best_word) {
-            best = &e;
-            best_word = w;
-        }
-    });
-    word = best_word;
-    return *best;
+    const bool priority =
+        config_.enablePriority && maskHas(frozenPriority_, agent);
+    // "Agents may ignore the round-robin protocol for priority requests
+    // by always setting the round-robin priority bit."
+    const std::uint64_t rr_bit =
+        (agent < recordedWinner_ ||
+         (priority && !config_.rrWithinPriorityClass))
+            ? 1
+            : 0;
+    std::uint64_t word = (rr_bit << idBits_) | id;
+    if (priority)
+        word |= 1ULL << (idBits_ + 1);
+    return word;
 }
 
 void
@@ -119,31 +99,12 @@ RoundRobinProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-
-    // Which agents enter this arbitration?
-    const bool gate_low = config_.impl != RrImplementation::kPriorityBit;
-    const bool any_low =
-        gate_low && pending_.hasAgentBelow(recordedWinner_);
-
-    pending_.forEachAgentWithRequests([&](AgentId a) {
-        if (gate_low) {
-            const bool is_low = a < recordedWinner_;
-            if (config_.impl == RrImplementation::kLowRequestLine) {
-                // Low-request line asserted: only low agents compete.
-                if (any_low && !is_low)
-                    return;
-            } else { // kNoExtraLine
-                // Only low agents ever compete; an empty arbitration
-                // resets the recorded winner (handled in completePass).
-                if (!is_low)
-                    return;
-            }
-        }
-        std::uint64_t word = 0;
-        const PendingEntry &e = competingEntry(a, word);
-        frozen_.push_back(FrozenCompetitor{a, word, e.req.seq});
-    });
+    // Requests posted from now on cannot join this pass. An agent
+    // presents its oldest priority request if it has one (the priority
+    // line outranks every other bit), otherwise its oldest request.
+    frozen_ = pending_.requestMask();
+    if (config_.enablePriority)
+        frozenPriority_ = pending_.priorityMask();
 }
 
 PassResult
@@ -153,7 +114,24 @@ RoundRobinProtocol::completePass(Tick now)
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
 
-    if (frozen_.empty()) {
+    // The wired-OR maximum over the frozen words, resolved a field at a
+    // time from the most significant: the priority class, then the
+    // round-robin bit (implementation 1) or the gating line
+    // (implementations 2 and 3), then the static identity.
+    AgentId winner = kNoAgent;
+    if (config_.impl == RrImplementation::kNoExtraLine) {
+        // Only agents below the recorded winner ever compete.
+        winner = highestAgentBelow(frozen_, recordedWinner_);
+    } else if (config_.enablePriority &&
+               highestAgent(frozenPriority_) != kNoAgent) {
+        winner = config_.rrWithinPriorityClass
+                     ? nextInRoundRobinOrder(frozenPriority_)
+                     : highestAgent(frozenPriority_);
+    } else {
+        winner = nextInRoundRobinOrder(frozen_);
+    }
+
+    if (winner == kNoAgent) {
         if (pending_.empty())
             return PassResult::makeIdle();
         BUSARB_ASSERT(config_.impl == RrImplementation::kNoExtraLine,
@@ -166,21 +144,14 @@ RoundRobinProtocol::completePass(Tick now)
         return PassResult::makeRetry();
     }
 
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        BUSARB_ASSERT(c.word != best->word || c.agent == best->agent,
-                      "duplicate arbitration word");
-        if (c.word > best->word)
-            best = &c;
-    }
-
     // Every agent records the winner's static identity (excluding the
     // round-robin priority bit) at the end of every arbitration.
-    recordedWinner_ = best->agent;
+    recordedWinner_ = winner;
 
-    PendingEntry *entry = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(entry != nullptr, "winning request vanished");
-    return PassResult::makeWinner(entry->req);
+    const bool priority =
+        config_.enablePriority && maskHas(frozenPriority_, winner);
+    return PassResult::makeWinner(
+        pending_.oldestOfClass(winner, priority).req);
 }
 
 void
@@ -193,11 +164,19 @@ RoundRobinProtocol::tenureStarted(const Request &req, Tick now)
 int
 RoundRobinProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
-    for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(numLines(), competitors);
+    // The competitors and their words, rebuilt from the frozen masks.
+    AgentId gate = numAgents_ + 1;
+    if (config_.impl == RrImplementation::kNoExtraLine ||
+        (config_.impl == RrImplementation::kLowRequestLine &&
+         highestAgentBelow(frozen_, recordedWinner_) != kNoAgent)) {
+        gate = recordedWinner_;
+    }
+    settle_.clear();
+    forEachAgentIn(frozen_, [&](AgentId a) {
+        if (a < gate)
+            settle_.add(a, wordFor(a));
+    });
+    return settle_.rounds();
 }
 
 std::string

@@ -105,23 +105,24 @@ class RoundRobinProtocol : public ArbitrationProtocol
     PendingRequests pending_;
     bool passOpen_ = false;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** Agents with a pending request when the open pass began. */
+    AgentMask frozen_;
 
-    /** Build the arbitration word entry `e` of `agent` applies. */
-    std::uint64_t wordFor(const PendingEntry &e) const;
+    /** Of those, the agents that presented a priority request. */
+    AgentMask frozenPriority_;
+
+    /** Reused by settleRoundsForPass(). */
+    mutable SettleCounter settle_;
 
     /**
-     * Entry an agent presents: its maximum-word pending request.
-     * Returns the word through `word` so the begin-pass loop computes
-     * it exactly once per competitor.
+     * @return The first agent of `set` in round-robin order after the
+     *         recorded winner: the highest identity below it, else the
+     *         highest identity overall (kNoAgent if `set` is empty).
      */
-    PendingEntry &competingEntry(AgentId agent, std::uint64_t &word);
+    AgentId nextInRoundRobinOrder(const AgentMask &set) const;
+
+    /** @return Arbitration word agent `agent` applies this pass. */
+    std::uint64_t wordFor(AgentId agent) const;
 };
 
 } // namespace busarb

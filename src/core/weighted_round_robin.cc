@@ -33,6 +33,7 @@ WeightedRoundRobinProtocol::reset(int num_agents)
     pending_.reset(num_agents);
     frozen_.clear();
     passOpen_ = false;
+    settle_.reset(arbitrationLineCount());
 }
 
 int
@@ -78,7 +79,7 @@ WeightedRoundRobinProtocol::beginPass(Tick now)
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
     frozen_.clear();
-    pending_.forEachAgentWithRequests([&](AgentId a) {
+    forEachAgentIn(pending_.requestMask(), [&](AgentId a) {
         // All of one agent's requests share a word, so the oldest is
         // presented (PendingRequests keeps arrival order).
         frozen_.push_back(
@@ -129,11 +130,10 @@ WeightedRoundRobinProtocol::tenureStarted(const Request &req, Tick now)
 int
 WeightedRoundRobinProtocol::settleRoundsForPass() const
 {
-    std::vector<Competitor> competitors;
-    competitors.reserve(frozen_.size());
+    settle_.clear();
     for (const auto &c : frozen_)
-        competitors.push_back(Competitor{c.agent, c.word});
-    return settleRounds(arbitrationLineCount(), competitors);
+        settle_.add(c.agent, c.word);
+    return settle_.rounds();
 }
 
 std::string

@@ -104,6 +104,9 @@ class WeightedRoundRobinProtocol : public ArbitrationProtocol
     };
     std::vector<FrozenCompetitor> frozen_;
 
+    /** Reused by settleRoundsForPass(). */
+    mutable SettleCounter settle_;
+
     /** Build the arbitration word agent `agent` applies. */
     std::uint64_t wordFor(AgentId agent) const;
 };

@@ -3,12 +3,16 @@
  * Unit tests for the two assured-access baseline protocols (Section 2.2).
  */
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/aap_batch.hh"
 #include "baseline/aap_futurebus.hh"
+#include "bus/contention.hh"
+#include "random/rng.hh"
 #include "support/protocol_driver.hh"
 
 namespace busarb {
@@ -86,6 +90,169 @@ TEST(BatchAapTest, EmptySystemIdles)
     EXPECT_FALSE(protocol.wantsPass());
     EXPECT_EQ(protocol.batchesFormed(), 0u);
 }
+
+/**
+ * Oracle for AAP-1, kept as the Section 2.2 description reads: an
+ * explicit list of batch members; a request arriving while the request
+ * line is low forms a batch of every waiting non-priority request, one
+ * arriving in the same instant joins it, later ones wait for the batch
+ * to drain. Priority requests compete in every arbitration under the
+ * priority line (Section 2.4).
+ */
+class BatchOracle
+{
+  public:
+    explicit BatchOracle(int n) : idBits_(linesForAgents(n)) {}
+
+    void
+    post(const Request &req)
+    {
+        pending_.push_back(req);
+        if (req.priority)
+            return;
+        if (batch_.empty())
+            form(req.issued);
+        else if (req.issued == formedAt_)
+            batch_.push_back(req.seq);
+    }
+
+    /** @return The request that wins a pass over the current state. */
+    Request
+    choose() const
+    {
+        const Request *best = nullptr;
+        std::uint64_t best_word = 0;
+        for (const auto &r : pending_) {
+            std::uint64_t word = 0;
+            if (r.priority)
+                word = (1ULL << idBits_) | static_cast<std::uint64_t>(r.agent);
+            else if (inBatch(r.seq))
+                word = static_cast<std::uint64_t>(r.agent);
+            if (word > best_word) {
+                best = &r;
+                best_word = word;
+            }
+        }
+        return best != nullptr ? *best : Request{};
+    }
+
+    /** The winner `won` starts its tenure at `now`. */
+    void
+    serve(const Request &won, Tick now)
+    {
+        pending_.erase(std::find_if(
+            pending_.begin(), pending_.end(),
+            [&](const Request &r) { return r.seq == won.seq; }));
+        if (won.priority)
+            return;
+        batch_.erase(std::find(batch_.begin(), batch_.end(), won.seq));
+        if (batch_.empty())
+            form(now);
+    }
+
+    std::uint64_t batches() const { return batches_; }
+
+  private:
+    bool
+    inBatch(std::uint64_t seq) const
+    {
+        return std::find(batch_.begin(), batch_.end(), seq) != batch_.end();
+    }
+
+    void
+    form(Tick now)
+    {
+        for (const auto &r : pending_) {
+            if (!r.priority)
+                batch_.push_back(r.seq);
+        }
+        if (!batch_.empty()) {
+            ++batches_;
+            formedAt_ = now;
+        }
+    }
+
+    int idBits_;
+    std::vector<Request> pending_; // arrival order
+    std::vector<std::uint64_t> batch_;
+    Tick formedAt_ = -1;
+    std::uint64_t batches_ = 0;
+};
+
+class BatchAapOracleTest : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(BatchAapOracleTest, MatchesBatchOracle)
+{
+    // Queued requests (up to three per agent), several arrivals per
+    // tick so requests join a batch in the instant it forms, requests
+    // posted while a pass is open, and (with the parameter) priority
+    // requests jumping the batch.
+    const bool priority = GetParam();
+    Rng rng(priority ? 0xAA11 : 0xAA10);
+    for (int n : {5, 63, 64, 65, 130}) {
+        BatchAapProtocol protocol(priority);
+        ProtocolDriver driver(protocol, n);
+        BatchOracle oracle(n);
+        const std::string where = "n " + std::to_string(n);
+        std::vector<int> outstanding(static_cast<std::size_t>(n) + 1, 0);
+        int pending = 0;
+        Tick now = 0;
+        auto randomPost = [&](std::vector<Request> *late) {
+            const AgentId a = 1 + static_cast<AgentId>(
+                                      rng.below(static_cast<std::uint64_t>(n)));
+            if (outstanding[static_cast<std::size_t>(a)] >= 3)
+                return;
+            const Request req =
+                driver.post(a, now, priority && rng.below(100) < 20);
+            if (late != nullptr)
+                late->push_back(req);
+            else
+                oracle.post(req);
+            ++outstanding[static_cast<std::size_t>(a)];
+            ++pending;
+        };
+        auto arbitrate = [&](bool late_posts) {
+            const Request want = oracle.choose();
+            std::vector<Request> late;
+            const AgentId got = driver.arbitrateAndServe(now, [&] {
+                for (int k = 0; late_posts && k < 3; ++k)
+                    randomPost(&late);
+            });
+            for (const auto &req : late)
+                oracle.post(req);
+            ASSERT_EQ(got, want.agent) << where << " now " << now;
+            ASSERT_EQ(driver.served().back().seq, want.seq)
+                << where << " now " << now;
+            oracle.serve(want, now);
+            --outstanding[static_cast<std::size_t>(got)];
+            --pending;
+        };
+        for (int step = 0; step < 1500; ++step) {
+            if (rng.below(100) < 70)
+                ++now; // otherwise more arrivals in the same instant
+            const int posts = static_cast<int>(rng.below(4));
+            for (int k = 0; k < posts; ++k)
+                randomPost(nullptr);
+            if (pending > 0 && rng.below(100) < 60)
+                arbitrate(rng.below(100) < 30);
+            if (HasFatalFailure())
+                return;
+        }
+        while (pending > 0) {
+            ++now;
+            arbitrate(false);
+            if (HasFatalFailure())
+                return;
+        }
+        EXPECT_EQ(protocol.batchesFormed(), oracle.batches()) << where;
+        EXPECT_FALSE(protocol.wantsPass()) << where;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(PriorityOffAndOn, BatchAapOracleTest,
+                         ::testing::Bool());
 
 // ------------------------------------------------------------- AAP-2
 

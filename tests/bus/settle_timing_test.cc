@@ -171,5 +171,31 @@ TEST(SettleTimingTest, WholeStackStillConservesWork)
     }
 }
 
+TEST(SettleTimingTest, PriorityAndQueuedRequestsSettle)
+{
+    // Priority words drive one line above the identity, and an AAP-1
+    // agent can hold several batch members: both must settle as one
+    // word per agent and class.
+    ScenarioConfig config = equalLoadScenario(8, 2.0, 1.0);
+    config.bus = settleParams();
+    config.numBatches = 2;
+    config.batchSize = 500;
+    config.warmup = 200;
+    for (auto &agent : config.agents) {
+        agent.maxOutstanding = 3;
+        agent.priorityFraction = 0.2;
+    }
+    for (const char *key : {"aap1:priority", "aap2:priority"}) {
+        const auto result =
+            runScenario(config, ProtocolRegistry::builtin().fromSpec(key));
+        EXPECT_NEAR(result.utilization().value, 1.0, 5e-3) << key;
+    }
+    for (auto &agent : config.agents)
+        agent.priorityFraction = 0.0;
+    const auto result =
+        runScenario(config, ProtocolRegistry::builtin().fromSpec("aap1"));
+    EXPECT_NEAR(result.utilization().value, 1.0, 5e-3) << "aap1";
+}
+
 } // namespace
 } // namespace busarb

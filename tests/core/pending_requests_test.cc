@@ -67,13 +67,12 @@ TEST(PendingRequestsTest, EntriesKeepDynamicState)
 {
     PendingRequests p;
     p.reset(2);
-    PendingEntry &e = p.add(makeReq(1, 1));
-    e.counter = 42;
-    e.epoch = 7;
-    e.inPass = true;
-    EXPECT_EQ(p.oldest(1).counter, 42u);
-    EXPECT_EQ(p.oldest(1).epoch, 7u);
-    EXPECT_TRUE(p.oldest(1).inPass);
+    p.add(makeReq(1, 1), 42);
+    p.add(makeReq(1, 2), 43);
+    EXPECT_EQ(p.oldest(1).stamp, 42u);
+    ++p.oldest(1).stamp;
+    EXPECT_EQ(p.findBySeq(1, 1)->stamp, 43u);
+    EXPECT_EQ(p.findBySeq(1, 2)->stamp, 43u);
 }
 
 TEST(PendingRequestsTest, ForEachVisitsAll)
@@ -84,7 +83,7 @@ TEST(PendingRequestsTest, ForEachVisitsAll)
     p.add(makeReq(3, 2));
     p.add(makeReq(3, 3));
     int visits = 0;
-    p.forEach([&](PendingEntry &) { ++visits; });
+    p.forEach([&](const PendingEntry &) { ++visits; });
     EXPECT_EQ(visits, 3);
 }
 
@@ -97,7 +96,7 @@ TEST(PendingRequestsTest, ForEachAgentOldestVisitsFronts)
     p.add(makeReq(3, 3));
     std::vector<std::uint64_t> seqs;
     p.forEachAgentOldest(
-        [&](PendingEntry &e) { seqs.push_back(e.req.seq); });
+        [&](const PendingEntry &e) { seqs.push_back(e.req.seq); });
     EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 3}));
 }
 
@@ -107,7 +106,10 @@ TEST(PendingRequestsTest, AgentsWithRequests)
     p.reset(5);
     p.add(makeReq(4, 1));
     p.add(makeReq(2, 2));
-    EXPECT_EQ(p.agentsWithRequests(), (std::vector<AgentId>{2, 4}));
+    std::vector<AgentId> agents;
+    forEachAgentIn(p.requestMask(),
+                   [&](AgentId a) { agents.push_back(a); });
+    EXPECT_EQ(agents, (std::vector<AgentId>{2, 4}));
 }
 
 TEST(PendingRequestsTest, ResetClears)

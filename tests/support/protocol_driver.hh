@@ -50,10 +50,29 @@ class ProtocolDriver
     AgentId
     arbitrateAndServe(Tick now)
     {
+        return arbitrateAndServe(now, [] {});
+    }
+
+    /**
+     * Like arbitrateAndServe(now), but calls `during()` between the
+     * first pass's beginPass and its completePass. Requests `during`
+     * posts (through post()) arrive while that pass is open, so they
+     * must not compete in it; a retry pass that follows sees them.
+     *
+     * @param now Tick at which the passes begin and resolve.
+     * @param during Callable run once, inside the first pass.
+     * @return The winning agent, or kNoAgent if nothing was pending.
+     */
+    template <typename Fn>
+    AgentId
+    arbitrateAndServe(Tick now, Fn &&during)
+    {
         if (!protocol_.wantsPass())
             return kNoAgent;
         for (int attempts = 0; attempts < 4; ++attempts) {
             protocol_.beginPass(now);
+            if (attempts == 0)
+                during();
             const PassResult result = protocol_.completePass(now);
             switch (result.kind) {
               case PassResult::Kind::kWinner:
