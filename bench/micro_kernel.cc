@@ -211,24 +211,6 @@ BM_AsyncContentionSettle(benchmark::State &state)
 BENCHMARK(BM_AsyncContentionSettle)->Args({6, 8})->Args({10, 16});
 
 void
-BM_SelectMax(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    std::vector<Competitor> competitors;
-    for (int i = 0; i < n; ++i)
-        competitors.push_back(Competitor{i + 1,
-                                         static_cast<std::uint64_t>(
-                                             (i * 2654435761U) % 100000 +
-                                             i + 1)});
-    for (auto _ : state) {
-        auto winner = selectMax(competitors);
-        benchmark::DoNotOptimize(winner);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SelectMax)->Arg(10)->Arg(64);
-
-void
 BM_FullSimulation(benchmark::State &state)
 {
     // End-to-end completions per second for a saturated 10-agent bus,
@@ -317,6 +299,8 @@ BM_FullSimulationAgents64(benchmark::State &state, const char *key)
 BENCHMARK_CAPTURE(BM_FullSimulationAgents64, rr1, "rr1");
 BENCHMARK_CAPTURE(BM_FullSimulationAgents64, fcfs1, "fcfs1");
 BENCHMARK_CAPTURE(BM_FullSimulationAgents64, aap1, "aap1");
+BENCHMARK_CAPTURE(BM_FullSimulationAgents64, aap2, "aap2");
+BENCHMARK_CAPTURE(BM_FullSimulationAgents64, fixed, "fixed");
 
 void
 BM_FullSimulationObserved(benchmark::State &state)

@@ -11,16 +11,18 @@
  *
  * It demonstrates everything a protocol author needs:
  *   - deriving from ArbitrationProtocol,
- *   - building composite arbitration words (here: queue depth over
- *     static identity) resolved by wired-OR maximum finding,
- *   - freezing competitors at beginPass / resolving at completePass,
+ *   - resolving a composite arbitration word (here: queue depth over
+ *     static identity) the way the simulator's own protocols do: the
+ *     dynamic field picks a set of agents, frozen as an AgentMask at
+ *     beginPass, and the static identity breaks the tie through
+ *     highestAgent at completePass,
  *   - running scenarios through the experiment harness.
  */
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 
-#include "bus/contention.hh"
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
 #include "experiment/protocol_registry.hh"
@@ -34,7 +36,8 @@ using namespace busarb;
 
 /**
  * Longest-queue-first arbitration: composite word
- * [ queue depth | static identity ], resolved by maximum finding.
+ * [ queue depth | static identity ]. The maximum word belongs to the
+ * highest identity among the agents with the deepest queue.
  */
 class LongestQueueFirstProtocol : public ArbitrationProtocol
 {
@@ -42,10 +45,8 @@ class LongestQueueFirstProtocol : public ArbitrationProtocol
     void
     reset(int num_agents) override
     {
-        numAgents_ = num_agents;
-        idBits_ = linesForAgents(num_agents);
         pending_.reset(num_agents);
-        frozen_.clear();
+        frozen_ = pending_.requestMask();
     }
 
     void
@@ -63,28 +64,28 @@ class LongestQueueFirstProtocol : public ArbitrationProtocol
     void
     beginPass(Tick) override
     {
-        frozen_.clear();
-        std::vector<int> depth(static_cast<std::size_t>(numAgents_) + 1,
-                               0);
-        pending_.forEach([&](const PendingEntry &e) {
-            ++depth[static_cast<std::size_t>(e.req.agent)];
-        });
-        pending_.forEachAgentOldest([&](const PendingEntry &e) {
-            const auto d = static_cast<std::uint64_t>(
-                depth[static_cast<std::size_t>(e.req.agent)]);
-            frozen_.push_back(Competitor{
-                e.req.agent,
-                (d << idBits_) |
-                    static_cast<std::uint64_t>(e.req.agent)});
+        // Freeze the agents whose word has the largest dynamic field:
+        // those with the deepest queue now.
+        std::fill(frozen_.begin(), frozen_.end(), 0);
+        std::size_t deepest = 0;
+        forEachAgentIn(pending_.requestMask(), [&](AgentId agent) {
+            const std::size_t depth = pending_.numOfAgent(agent);
+            if (depth > deepest) {
+                deepest = depth;
+                std::fill(frozen_.begin(), frozen_.end(), 0);
+            }
+            if (depth == deepest)
+                maskSet(frozen_, agent);
         });
     }
 
     PassResult
     completePass(Tick) override
     {
-        if (frozen_.empty())
+        // The static identity in the low bits settles the tie.
+        const AgentId winner = highestAgent(frozen_);
+        if (winner == kNoAgent)
             return PassResult::makeIdle();
-        const AgentId winner = selectMax(frozen_);
         return PassResult::makeWinner(pending_.oldest(winner).req);
     }
 
@@ -101,10 +102,8 @@ class LongestQueueFirstProtocol : public ArbitrationProtocol
     }
 
   private:
-    int numAgents_ = 0;
-    int idBits_ = 0;
     PendingRequests pending_;
-    std::vector<Competitor> frozen_;
+    AgentMask frozen_;
 };
 
 } // namespace

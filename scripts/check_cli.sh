@@ -137,6 +137,24 @@ expect 2 "conflicts with --scenario" "report scenario/flag conflict" \
 expect 1 "cannot read" "sim missing scenario file" \
     "$sim" --scenario "$tmp/does-not-exist.scenario"
 
+# A scenario whose family takes loads but names none (an empty file is
+# enough) is a usage error on every tool that reads one.
+: > "$tmp/empty.scenario"
+expect 2 "need at least one load" "sim scenario without load" \
+    "$sim" --scenario "$tmp/empty.scenario"
+expect 2 "need at least one load" "report scenario without load" \
+    "$report" --scenario "$tmp/empty.scenario" --out "$tmp/report.md"
+expect 2 "need at least one protocol and one load" \
+    "sweep grid without load" "$sweep" --grid "$tmp/empty.scenario"
+
+# A trace event naming an agent outside the chunk's 1..N is a corrupt
+# trace: chunk of 2 agents, one request from agent 77.
+printf 'BATR\001\002\001x\001\000\115\001\000\000' > "$tmp/agent77.trace"
+expect 2 "agent 77" "trace audit out-of-range agent" \
+    "$trace" audit "$tmp/agent77.trace"
+expect 2 "chunk 0 event 0" "trace out-of-range agent" \
+    "$trace" "$tmp/agent77.trace"
+
 # Artifact paths into a missing parent directory are usage errors,
 # caught up front (before any simulation) and naming both the
 # directory and the flag, on every tool that writes artifacts.

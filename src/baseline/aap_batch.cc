@@ -32,7 +32,7 @@ BatchAapProtocol::joinBatch(AgentId agent, std::uint32_t members)
 {
     const auto a = static_cast<std::size_t>(agent);
     batchCount_[a] += members;
-    batchMask_[a >> 6] |= 1ULL << (a & 63);
+    maskSet(batchMask_, agent);
     batchSize_ += members;
 }
 
@@ -135,7 +135,7 @@ BatchAapProtocol::tenureStarted(const Request &req, Tick now)
     const auto a = static_cast<std::size_t>(req.agent);
     BUSARB_ASSERT(batchCount_[a] > 0, "served request was not in batch");
     if (--batchCount_[a] == 0)
-        batchMask_[a >> 6] &= ~(1ULL << (a & 63));
+        maskClear(batchMask_, req.agent);
     if (--batchSize_ == 0) {
         // The request line drops to 0: every waiting request asserts it
         // and the next batch forms.

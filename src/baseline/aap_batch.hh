@@ -54,7 +54,8 @@ class BatchAapProtocol : public ArbitrationProtocol
     int
     arbitrationLineCount() const override
     {
-        return linesForAgents(numAgents_);
+        // Identity bits plus the priority line, when enabled.
+        return idBits_ + (enablePriority_ ? 1 : 0);
     }
 
     /** @return Number of batches formed so far. */

@@ -1,5 +1,7 @@
 #include "baseline/aap_futurebus.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace busarb {
@@ -16,8 +18,9 @@ FuturebusAapProtocol::reset(int num_agents)
     numAgents_ = num_agents;
     idBits_ = linesForAgents(num_agents);
     pending_.reset(num_agents);
-    inhibited_.assign(static_cast<std::size_t>(num_agents) + 1, false);
-    frozen_.clear();
+    inhibited_ = pending_.requestMask();
+    frozenPriority_ = inhibited_;
+    frozenPlain_ = inhibited_;
     passOpen_ = false;
     releases_ = 0;
     settle_.reset(idBits_ + (enablePriority_ ? 1 : 0));
@@ -28,7 +31,7 @@ FuturebusAapProtocol::isInhibited(AgentId agent) const
 {
     BUSARB_ASSERT(agent >= 1 && agent <= numAgents_,
                   "agent id out of range: ", agent);
-    return inhibited_[static_cast<std::size_t>(agent)];
+    return maskHas(inhibited_, agent);
 }
 
 void
@@ -55,24 +58,13 @@ FuturebusAapProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
     // Priority requests ignore the inhibit protocol and assert the
-    // priority line (most significant bit); an agent presents its oldest
-    // priority request.
-    forEachAgentIn(pending_.priorityMask(), [&](AgentId a) {
-        frozen_.push_back(FrozenCompetitor{
-            a, (1ULL << idBits_) | static_cast<std::uint64_t>(a),
-            pending_.oldestOfClass(a, true).req.seq});
-    });
-    pending_.forEachAgentOldest([&](const PendingEntry &e) {
-        if (e.req.priority)
-            return; // already competing above
-        if (inhibited_[static_cast<std::size_t>(e.req.agent)])
-            return; // does not assert the request line
-        frozen_.push_back(FrozenCompetitor{
-            e.req.agent, static_cast<std::uint64_t>(e.req.agent),
-            e.req.seq});
-    });
+    // priority line (most significant bit); every other requester
+    // competes with its identity unless it is inhibited.
+    frozenPriority_ = pending_.priorityMask();
+    const AgentMask &requests = pending_.requestMask();
+    for (std::size_t w = 0; w < frozenPlain_.size(); ++w)
+        frozenPlain_[w] = requests[w] & ~inhibited_[w];
 }
 
 PassResult
@@ -81,25 +73,24 @@ FuturebusAapProtocol::completePass(Tick now)
     (void)now;
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
-    if (frozen_.empty()) {
+    AgentId winner = highestAgent(frozenPriority_);
+    const bool priority = winner != kNoAgent;
+    if (!priority)
+        winner = highestAgent(frozenPlain_);
+    if (winner == kNoAgent) {
         if (pending_.empty())
             return PassResult::makeIdle();
         // "The fairness release operation is an arbitration cycle in
         // which no agents assert the request line": all inhibit marks
         // clear and the next arbitration starts a new batch.
-        for (std::size_t i = 0; i < inhibited_.size(); ++i)
-            inhibited_[i] = false;
+        std::fill(inhibited_.begin(), inhibited_.end(), 0);
         ++releases_;
         return PassResult::makeRetry();
     }
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        if (c.word > best->word)
-            best = &c;
-    }
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(winner != nullptr, "winning request vanished");
-    return PassResult::makeWinner(winner->req);
+    // Without a priority competitor every plain competitor's oldest
+    // request is non-priority, so that is the one it presented.
+    return PassResult::makeWinner(
+        pending_.oldestOfClass(winner, priority).req);
 }
 
 void
@@ -117,15 +108,25 @@ FuturebusAapProtocol::tenureEnded(const Request &req, Tick now)
     // inhibited." Priority service bypasses the fairness protocol and
     // leaves the inhibit state untouched.
     if (!req.priority)
-        inhibited_[static_cast<std::size_t>(req.agent)] = true;
+        maskSet(inhibited_, req.agent);
 }
 
 int
 FuturebusAapProtocol::settleRoundsForPass() const
 {
+    // Every applied word, rebuilt from the frozen masks. An agent
+    // presents its oldest request under the identity word, so one whose
+    // oldest request is a priority request drives only the priority
+    // word, while one whose oldest is plain drives both words when it
+    // also holds a priority request.
     settle_.clear();
-    for (const auto &c : frozen_)
-        settle_.add(c.agent, c.word);
+    forEachAgentIn(frozenPriority_, [&](AgentId a) {
+        settle_.add(a, (1ULL << idBits_) | static_cast<std::uint64_t>(a));
+    });
+    forEachAgentIn(frozenPlain_, [&](AgentId a) {
+        if (!pending_.oldest(a).req.priority)
+            settle_.add(a, static_cast<std::uint64_t>(a));
+    });
     return settle_.rounds();
 }
 

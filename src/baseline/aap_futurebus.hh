@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bus/contention.hh"
 #include "bus/protocol.hh"
@@ -52,7 +51,8 @@ class FuturebusAapProtocol : public ArbitrationProtocol
     int
     arbitrationLineCount() const override
     {
-        return linesForAgents(numAgents_);
+        // Identity bits plus the priority line, when enabled.
+        return idBits_ + (enablePriority_ ? 1 : 0);
     }
 
     /** @return Fairness-release cycles that have occurred. */
@@ -66,17 +66,17 @@ class FuturebusAapProtocol : public ArbitrationProtocol
     int numAgents_ = 0;
     int idBits_ = 0;
     PendingRequests pending_;
-    std::vector<bool> inhibited_; // indexed by agent id
+    AgentMask inhibited_;
     bool passOpen_ = false;
     std::uint64_t releases_ = 0;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /**
+     * When the open pass began: agents with a priority request, and
+     * requesters that were not inhibited. Copied at beginPass because
+     * a tenure ending mid-pass inhibits its agent.
+     */
+    AgentMask frozenPriority_;
+    AgentMask frozenPlain_;
 
     /** Reused by settleRoundsForPass(). */
     mutable SettleCounter settle_;

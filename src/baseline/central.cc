@@ -40,7 +40,8 @@ CentralRoundRobinProtocol::beginPass(Tick now)
     passOpen_ = true;
     frozenSeqs_.clear();
     frozenAgents_.clear();
-    pending_.forEachAgentOldest([&](const PendingEntry &e) {
+    const AgentMask &requests = pending_.requestMask();
+    pending_.forEachOldestIn(requests, [&](const PendingEntry &e) {
         frozenAgents_.push_back(e.req.agent);
         frozenSeqs_.push_back(e.req.seq);
     });
@@ -128,7 +129,8 @@ CentralFcfsProtocol::beginPass(Tick now)
     passOpen_ = true;
     frozenSeqs_.clear();
     frozenAgents_.clear();
-    pending_.forEachAgentOldest([&](const PendingEntry &e) {
+    const AgentMask &requests = pending_.requestMask();
+    pending_.forEachOldestIn(requests, [&](const PendingEntry &e) {
         frozenAgents_.push_back(e.req.agent);
         frozenSeqs_.push_back(e.req.seq);
     });

@@ -16,7 +16,8 @@ FixedPriorityProtocol::reset(int num_agents)
     numAgents_ = num_agents;
     idBits_ = linesForAgents(num_agents);
     pending_.reset(num_agents);
-    frozen_.clear();
+    frozen_ = pending_.requestMask();
+    frozenPriority_ = frozen_;
     passOpen_ = false;
     settle_.reset(idBits_ + (enablePriority_ ? 1 : 0));
 }
@@ -43,32 +44,11 @@ FixedPriorityProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    pending_.forEachAgentOldest([&](const PendingEntry &e) {
-        std::uint64_t word = static_cast<std::uint64_t>(e.req.agent);
-        if (enablePriority_ && e.req.priority)
-            word |= 1ULL << idBits_;
-        frozen_.push_back(FrozenCompetitor{e.req.agent, word, e.req.seq});
-    });
-    if (enablePriority_) {
-        // An agent with both classes pending presents its priority
-        // request; rebuild per-agent words accordingly.
-        for (auto &c : frozen_) {
-            const PendingEntry *best = nullptr;
-            std::uint64_t best_word = 0;
-            pending_.forEachOfAgent(c.agent, [&](const PendingEntry &e) {
-                std::uint64_t w = static_cast<std::uint64_t>(e.req.agent);
-                if (e.req.priority)
-                    w |= 1ULL << idBits_;
-                if (best == nullptr || w > best_word) {
-                    best = &e;
-                    best_word = w;
-                }
-            });
-            c.word = best_word;
-            c.seq = best->req.seq;
-        }
-    }
+    // Every requester applies its identity; one with a priority request
+    // pending presents that request with the priority line (most
+    // significant bit) asserted.
+    frozen_ = pending_.requestMask();
+    frozenPriority_ = pending_.priorityMask();
 }
 
 PassResult
@@ -77,19 +57,17 @@ FixedPriorityProtocol::completePass(Tick now)
     (void)now;
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
-    if (frozen_.empty()) {
+    AgentId winner = highestAgent(frozenPriority_);
+    const bool priority = winner != kNoAgent;
+    if (!priority)
+        winner = highestAgent(frozen_);
+    if (winner == kNoAgent) {
         BUSARB_ASSERT(pending_.empty(),
                       "pass frozen empty with requests pending");
         return PassResult::makeIdle();
     }
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        if (c.word > best->word)
-            best = &c;
-    }
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(winner != nullptr, "winning request vanished");
-    return PassResult::makeWinner(winner->req);
+    return PassResult::makeWinner(
+        pending_.oldestOfClass(winner, priority).req);
 }
 
 void
@@ -103,8 +81,12 @@ int
 FixedPriorityProtocol::settleRoundsForPass() const
 {
     settle_.clear();
-    for (const auto &c : frozen_)
-        settle_.add(c.agent, c.word);
+    forEachAgentIn(frozen_, [&](AgentId a) {
+        std::uint64_t word = static_cast<std::uint64_t>(a);
+        if (maskHas(frozenPriority_, a))
+            word |= 1ULL << idBits_;
+        settle_.add(a, word);
+    });
     return settle_.rounds();
 }
 

@@ -11,9 +11,7 @@
 #ifndef BUSARB_BASELINE_FIXED_PRIORITY_HH
 #define BUSARB_BASELINE_FIXED_PRIORITY_HH
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bus/contention.hh"
 #include "bus/protocol.hh"
@@ -54,13 +52,9 @@ class FixedPriorityProtocol : public ArbitrationProtocol
     PendingRequests pending_;
     bool passOpen_ = false;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** Requesters and priority requesters when the open pass began. */
+    AgentMask frozen_;
+    AgentMask frozenPriority_;
 
     /** Reused by settleRoundsForPass(). */
     mutable SettleCounter settle_;

@@ -18,7 +18,7 @@ TicketFcfsProtocol::reset(int num_agents)
     numAgents_ = num_agents;
     nextTicket_ = 0;
     pending_.reset(num_agents);
-    frozen_.clear();
+    frozen_ = pending_.requestMask();
     passOpen_ = false;
 }
 
@@ -59,11 +59,7 @@ TicketFcfsProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    pending_.forEachAgentOldest([&](const PendingEntry &e) {
-        frozen_.push_back(
-            FrozenCompetitor{e.req.agent, e.stamp, e.req.seq});
-    });
+    frozen_ = pending_.requestMask();
 }
 
 PassResult
@@ -72,19 +68,20 @@ TicketFcfsProtocol::completePass(Tick now)
     (void)now;
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
-    if (frozen_.empty()) {
+    // Each agent presents its oldest ticket. A bounded ring makes
+    // ticketBefore non-transitive once too many tickets are out, so
+    // the winner depends on the visiting order: ascending identity.
+    const PendingEntry *best = nullptr;
+    pending_.forEachOldestIn(frozen_, [&](const PendingEntry &e) {
+        if (best == nullptr || ticketBefore(e.stamp, best->stamp))
+            best = &e;
+    });
+    if (best == nullptr) {
         BUSARB_ASSERT(pending_.empty(),
                       "pass frozen empty with requests pending");
         return PassResult::makeIdle();
     }
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        if (ticketBefore(c.ticket, best->ticket))
-            best = &c;
-    }
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(winner != nullptr, "winning request vanished");
-    return PassResult::makeWinner(winner->req);
+    return PassResult::makeWinner(best->req);
 }
 
 void

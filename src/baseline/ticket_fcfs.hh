@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bus/protocol.hh"
 #include "core/pending_requests.hh"
@@ -61,13 +60,8 @@ class TicketFcfsProtocol : public ArbitrationProtocol
     PendingRequests pending_;
     bool passOpen_ = false;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t ticket;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** Agents with a pending request when the open pass began. */
+    AgentMask frozen_;
 
     /** Circular "a is before b" comparison under a bounded counter. */
     bool ticketBefore(std::uint64_t a, std::uint64_t b) const;

@@ -94,26 +94,6 @@ ContentionArbiter::settle(const std::vector<Competitor> &competitors) const
     return result;
 }
 
-AgentId
-selectMax(const std::vector<Competitor> &competitors)
-{
-    AgentId winner = kNoAgent;
-    std::uint64_t best = 0;
-    bool any = false;
-    for (const auto &c : competitors) {
-        BUSARB_ASSERT(c.agent != kNoAgent, "competitor without an agent");
-        if (!any || c.word > best) {
-            any = true;
-            best = c.word;
-            winner = c.agent;
-        } else if (c.word == best) {
-            BUSARB_PANIC("duplicate arbitration word ", c.word,
-                         " from agents ", winner, " and ", c.agent);
-        }
-    }
-    return winner;
-}
-
 int
 linesForAgents(int num_agents)
 {

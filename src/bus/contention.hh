@@ -9,15 +9,13 @@
  * number. Taub proved the settle time is at most k/2 end-to-end bus
  * propagation delays [Taub84].
  *
- * Two views are provided:
- *  - settle(): an explicit round-by-round simulation of the remove/re-apply
- *    process over WiredOrLine instances, reporting how many propagation
- *    rounds were needed. Used to validate the mechanism and the timing
- *    model, and by the micro-benchmarks.
- *  - selectMax(): the logical outcome (maximum word, ties impossible since
- *    words embed unique static identities), used by the protocol layer in
- *    the performance simulations where only the result and a fixed
- *    overhead matter.
+ * settle() is an explicit round-by-round simulation of the
+ * remove/re-apply process, reporting how many propagation rounds were
+ * needed. It validates the mechanism and times passes under settle
+ * timing (SettleCounter). The logical outcome, the maximum word, never
+ * needs it: the protocols resolve a pass from frozen agent masks
+ * (core/pending_requests.hh), where the static identity is the bit
+ * position and the maximum is a leading-zero count.
  */
 
 #ifndef BUSARB_BUS_CONTENTION_HH
@@ -94,17 +92,6 @@ class ContentionArbiter
     std::uint64_t appliedWord(std::uint64_t identity,
                               std::uint64_t lines) const;
 };
-
-/**
- * Logical maximum finding over competitor words.
- *
- * @param competitors Competing agents. Words must be unique: the static
- *        identity in the low bits guarantees this for every protocol in
- *        this library. Duplicate maximal words would mean two agents both
- *        believe they won (a protocol design error), so this panics.
- * @return The winning agent, or kNoAgent when the set is empty.
- */
-AgentId selectMax(const std::vector<Competitor> &competitors);
 
 /**
  * Number of arbitration lines needed for N agents: ceil(log2(N + 1)),

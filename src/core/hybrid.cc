@@ -1,5 +1,7 @@
 #include "core/hybrid.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace busarb {
@@ -22,7 +24,7 @@ HybridProtocol::reset(int num_agents)
     recordedWinner_ = num_agents + 1;
     passesDone_ = 0;
     pending_.reset(num_agents);
-    frozen_.clear();
+    frozen_ = pending_.requestMask();
     passOpen_ = false;
     settle_.reset(counterBits_ + 1 + idBits_);
 }
@@ -63,13 +65,7 @@ HybridProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    pending_.forEachAgentOldest([&](const PendingEntry &e) {
-        // One outstanding word per agent; the oldest request has the
-        // largest counter, so it is the one the agent presents.
-        frozen_.push_back(
-            FrozenCompetitor{e.req.agent, wordFor(e), e.req.seq});
-    });
+    frozen_ = pending_.requestMask();
 }
 
 PassResult
@@ -79,29 +75,29 @@ HybridProtocol::completePass(Tick now)
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
 
-    if (frozen_.empty()) {
+    // One outstanding word per agent; the oldest request has the
+    // largest counter, so it is the one the agent presents. Nothing a
+    // word depends on moves while the pass is open, and the static
+    // identity in the low bits names the winner.
+    std::uint64_t best = 0;
+    pending_.forEachOldestIn(frozen_, [&](const PendingEntry &e) {
+        best = std::max(best, wordFor(e));
+    });
+    if (best == 0) {
         BUSARB_ASSERT(pending_.empty(),
                       "hybrid pass frozen empty with requests pending");
         return PassResult::makeIdle();
     }
 
-    const FrozenCompetitor *best = nullptr;
-    for (const auto &c : frozen_) {
-        if (best == nullptr || c.word > best->word)
-            best = &c;
-    }
-
-    PendingEntry *winner = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(winner != nullptr, "winning request vanished");
-    const Request won = winner->req;
-
-    recordedWinner_ = won.agent;
+    PendingEntry &winner = pending_.oldest(
+        static_cast<AgentId>(best & ((1ULL << idBits_) - 1ULL)));
+    recordedWinner_ = winner.req.agent;
     // Every other request that observed this arbitration increments its
     // counter: one step of the pass count. The winner keeps its own.
     ++passesDone_;
-    ++winner->stamp;
+    ++winner.stamp;
 
-    return PassResult::makeWinner(won);
+    return PassResult::makeWinner(winner.req);
 }
 
 void
@@ -115,8 +111,9 @@ int
 HybridProtocol::settleRoundsForPass() const
 {
     settle_.clear();
-    for (const auto &c : frozen_)
-        settle_.add(c.agent, c.word);
+    pending_.forEachOldestIn(frozen_, [&](const PendingEntry &e) {
+        settle_.add(e.req.agent, wordFor(e));
+    });
     return settle_.rounds();
 }
 

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bus/contention.hh"
 #include "bus/protocol.hh"
@@ -74,13 +73,8 @@ class HybridProtocol : public ArbitrationProtocol
     PendingRequests pending_;
     bool passOpen_ = false;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** Agents with a pending request when the open pass began. */
+    AgentMask frozen_;
 
     /** Reused by settleRoundsForPass(). */
     mutable SettleCounter settle_;

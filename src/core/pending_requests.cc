@@ -6,24 +6,6 @@
 
 namespace busarb {
 
-namespace {
-
-void
-setMaskBit(AgentMask &mask, AgentId agent)
-{
-    const auto bit = static_cast<std::size_t>(agent);
-    mask[bit >> 6] |= 1ULL << (bit & 63);
-}
-
-void
-clearMaskBit(AgentMask &mask, AgentId agent)
-{
-    const auto bit = static_cast<std::size_t>(agent);
-    mask[bit >> 6] &= ~(1ULL << (bit & 63));
-}
-
-} // namespace
-
 void
 PendingRequests::reset(int num_agents)
 {
@@ -45,14 +27,14 @@ PendingRequests::add(const Request &req, std::uint64_t stamp)
     const auto a = static_cast<std::size_t>(req.agent);
     ++total_;
     if (req.priority && priorityCount_[a]++ == 0)
-        setMaskBit(priorityMask_, req.agent);
+        maskSet(priorityMask_, req.agent);
     if (!hasAgent(req.agent)) {
         slot_[a] = PendingEntry{req, stamp};
-        setMaskBit(mask_, req.agent);
+        maskSet(mask_, req.agent);
         return;
     }
     overflow_[a].push_back(PendingEntry{req, stamp});
-    setMaskBit(multiMask_, req.agent);
+    maskSet(multiMask_, req.agent);
 }
 
 PendingEntry &
@@ -107,9 +89,9 @@ PendingRequests::removed(const Request &req)
 {
     const auto a = static_cast<std::size_t>(req.agent);
     if (overflow_[a].empty())
-        clearMaskBit(multiMask_, req.agent);
+        maskClear(multiMask_, req.agent);
     if (req.priority && --priorityCount_[a] == 0)
-        clearMaskBit(priorityMask_, req.agent);
+        maskClear(priorityMask_, req.agent);
     BUSARB_ASSERT(total_ > 0, "pending count underflow");
     --total_;
 }
@@ -143,7 +125,7 @@ PendingRequests::popOldest(AgentId agent)
     const Request req = slot_[a].req;
     auto &dq = overflow_[a];
     if (dq.empty()) {
-        clearMaskBit(mask_, agent);
+        maskClear(mask_, agent);
     } else {
         slot_[a] = std::move(dq.front());
         dq.pop_front();

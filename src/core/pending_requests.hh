@@ -54,6 +54,22 @@ maskHas(const AgentMask &mask, AgentId agent)
     return ((mask[bit >> 6] >> (bit & 63)) & 1) != 0;
 }
 
+/** Add `agent` to `mask`. */
+inline void
+maskSet(AgentMask &mask, AgentId agent)
+{
+    const auto bit = static_cast<std::size_t>(agent);
+    mask[bit >> 6] |= 1ULL << (bit & 63);
+}
+
+/** Remove `agent` from `mask`. */
+inline void
+maskClear(AgentMask &mask, AgentId agent)
+{
+    const auto bit = static_cast<std::size_t>(agent);
+    mask[bit >> 6] &= ~(1ULL << (bit & 63));
+}
+
 /** @return The highest identity in `mask`, or kNoAgent if it is empty. */
 inline AgentId
 highestAgent(const AgentMask &mask)
@@ -228,18 +244,6 @@ class PendingRequests
             for (const auto &entry : overflow_[a])
                 fn(entry);
         });
-    }
-
-    /**
-     * Visit the oldest pending entry of each agent that has one.
-     *
-     * @param fn Callable taking (const PendingEntry &).
-     */
-    template <typename Fn>
-    void
-    forEachAgentOldest(Fn &&fn) const
-    {
-        forEachOldestIn(mask_, fn);
     }
 
     /**

@@ -31,7 +31,7 @@ WeightedRoundRobinProtocol::reset(int num_agents)
     recordedWinner_ = num_agents + 1;
     credits_ = 0;
     pending_.reset(num_agents);
-    frozen_.clear();
+    frozen_ = pending_.requestMask();
     passOpen_ = false;
     settle_.reset(arbitrationLineCount());
 }
@@ -78,13 +78,9 @@ WeightedRoundRobinProtocol::beginPass(Tick now)
     (void)now;
     BUSARB_ASSERT(!passOpen_, "beginPass with a pass already open");
     passOpen_ = true;
-    frozen_.clear();
-    forEachAgentIn(pending_.requestMask(), [&](AgentId a) {
-        // All of one agent's requests share a word, so the oldest is
-        // presented (PendingRequests keeps arrival order).
-        frozen_.push_back(
-            FrozenCompetitor{a, wordFor(a), pending_.oldest(a).req.seq});
-    });
+    // All of one agent's requests share a word, so each requester
+    // presents its oldest (PendingRequests keeps arrival order).
+    frozen_ = pending_.requestMask();
 }
 
 PassResult
@@ -94,30 +90,24 @@ WeightedRoundRobinProtocol::completePass(Tick now)
     BUSARB_ASSERT(passOpen_, "completePass without beginPass");
     passOpen_ = false;
 
-    if (frozen_.empty())
-        return PassResult::makeIdle();
-
-    const FrozenCompetitor *best = &frozen_.front();
-    for (const auto &c : frozen_) {
-        BUSARB_ASSERT(c.word != best->word || c.agent == best->agent,
-                      "duplicate arbitration word");
-        if (c.word > best->word)
-            best = &c;
-    }
-
     // Every agent updates the winner identity and the burst credit
     // count; both are functions of broadcast information, so the state
     // stays consistent across agents without extra lines.
-    if (best->agent == recordedWinner_ && credits_ > 0) {
+    if (credits_ > 0 && maskHas(frozen_, recordedWinner_)) {
+        // The holder asserts the claim line and outranks everyone.
         --credits_;
-    } else {
-        recordedWinner_ = best->agent;
-        credits_ = weightOf(best->agent) - 1;
+        return PassResult::makeWinner(pending_.oldest(recordedWinner_).req);
     }
-
-    PendingEntry *entry = pending_.findBySeq(best->agent, best->seq);
-    BUSARB_ASSERT(entry != nullptr, "winning request vanished");
-    return PassResult::makeWinner(entry->req);
+    // The RR implementation-1 order: identities below the recorded
+    // winner carry the rr bit, then the scan wraps.
+    AgentId winner = highestAgentBelow(frozen_, recordedWinner_);
+    if (winner == kNoAgent)
+        winner = highestAgent(frozen_);
+    if (winner == kNoAgent)
+        return PassResult::makeIdle();
+    recordedWinner_ = winner;
+    credits_ = weightOf(winner) - 1;
+    return PassResult::makeWinner(pending_.oldest(winner).req);
 }
 
 void
@@ -131,8 +121,8 @@ int
 WeightedRoundRobinProtocol::settleRoundsForPass() const
 {
     settle_.clear();
-    for (const auto &c : frozen_)
-        settle_.add(c.agent, c.word);
+    forEachAgentIn(frozen_,
+                   [&](AgentId a) { settle_.add(a, wordFor(a)); });
     return settle_.rounds();
 }
 

@@ -96,13 +96,8 @@ class WeightedRoundRobinProtocol : public ArbitrationProtocol
     PendingRequests pending_;
     bool passOpen_ = false;
 
-    struct FrozenCompetitor
-    {
-        AgentId agent;
-        std::uint64_t word;
-        std::uint64_t seq;
-    };
-    std::vector<FrozenCompetitor> frozen_;
+    /** Agents with a pending request when the open pass began. */
+    AgentMask frozen_;
 
     /** Reused by settleRoundsForPass(). */
     mutable SettleCounter settle_;

@@ -370,8 +370,8 @@ registerHybridAndBaselines(ProtocolRegistry &registry)
     ticket.summary = "Sharma-Ahuja ticket FCFS baseline";
     ticket.paperSection = "ref";
     ticket.params = {intParam("bits", 0, 0, 32,
-                              "ticket-counter width; 0 sizes it from "
-                              "the agent count")};
+                              "ticket-counter width; 0 is an unbounded "
+                              "dispenser (exact FCFS)")};
     ticket.build = [](const ParamValues &values) -> ProtocolFactory {
         TicketFcfsConfig config;
         config.ticketBits = static_cast<int>(values.getInt("bits"));

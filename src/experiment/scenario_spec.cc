@@ -617,7 +617,15 @@ scenarioSpecFromFlags(const std::string &program,
                 std::exit(2);
             }
         }
-        return scenarioSpecOrExit(program, path);
+        ScenarioSpec spec = scenarioSpecOrExit(program, path);
+        // The check busarb_sweep --grid runs: a family with a load
+        // axis needs a load to build its run from.
+        if (spec.family != "worst-case" && spec.loadAxis().empty()) {
+            std::cerr << program << ": " << path
+                      << ": need at least one load\n";
+            std::exit(2);
+        }
+        return spec;
     }
 
     ScenarioSpec spec;

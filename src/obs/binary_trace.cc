@@ -1,6 +1,7 @@
 #include "obs/binary_trace.hh"
 
 #include <stdexcept>
+#include <string>
 
 #include "sim/logging.hh"
 
@@ -16,10 +17,9 @@ constexpr char kMagic[4] = {'B', 'A', 'T', 'R'};
 constexpr std::uint8_t kVersion = 1;
 
 [[noreturn]] void
-malformed(const char *what)
+malformed(const std::string &what)
 {
-    throw std::runtime_error(std::string("malformed binary trace: ") +
-                             what);
+    throw std::runtime_error("malformed binary trace: " + what);
 }
 
 std::uint64_t
@@ -177,6 +177,20 @@ readTraceChunks(const std::uint8_t *data, std::size_t size)
                               static_cast<std::size_t>(name_len));
         p += name_len;
 
+        // Every agent an event names must be one of the chunk's 1..N:
+        // consumers index per-agent state by it.
+        const auto readAgent = [&]() {
+            const std::uint64_t agent = readVarintOrThrow(&p, end);
+            if (agent < 1 ||
+                agent > static_cast<std::uint64_t>(chunk.numAgents)) {
+                malformed("chunk " + std::to_string(chunks.size()) +
+                          " event " + std::to_string(chunk.events.size()) +
+                          ": agent " + std::to_string(agent) +
+                          " outside 1.." + std::to_string(chunk.numAgents));
+            }
+            return static_cast<AgentId>(agent);
+        };
+
         Tick tick = 0;
         bool chunk_done = false;
         while (!chunk_done) {
@@ -211,8 +225,7 @@ readTraceChunks(const std::uint8_t *data, std::size_t size)
             ev.tick = tick;
             switch (ev.kind) {
               case TraceEventKind::kRequestPosted:
-                ev.agent = static_cast<AgentId>(
-                    readVarintOrThrow(&p, end));
+                ev.agent = readAgent();
                 ev.seq = readVarintOrThrow(&p, end);
                 if (p == end)
                     malformed("truncated request record");
@@ -227,8 +240,7 @@ readTraceChunks(const std::uint8_t *data, std::size_t size)
                     malformed("truncated pass record");
                 const std::uint8_t flags = *p++;
                 if (flags == 1) {
-                    ev.agent = static_cast<AgentId>(
-                        readVarintOrThrow(&p, end));
+                    ev.agent = readAgent();
                     ev.seq = readVarintOrThrow(&p, end);
                 } else if (flags == 2) {
                     ev.retry = true;
@@ -239,8 +251,7 @@ readTraceChunks(const std::uint8_t *data, std::size_t size)
               }
               case TraceEventKind::kTenureStarted:
               case TraceEventKind::kTenureEnded:
-                ev.agent = static_cast<AgentId>(
-                    readVarintOrThrow(&p, end));
+                ev.agent = readAgent();
                 ev.seq = readVarintOrThrow(&p, end);
                 break;
               case TraceEventKind::kCounterUpdate:

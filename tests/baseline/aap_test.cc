@@ -402,5 +402,30 @@ TEST(FuturebusAapPriorityTest, PriorityBeatsEveryBatchMember)
     EXPECT_EQ(driver.arbitrateAndServe(2), 8);
 }
 
+TEST(FuturebusAapPriorityTest, PlainOldestAlsoDrivesItsIdentityWord)
+{
+    // Agent 2 presents its oldest request, a plain one, under its
+    // identity 00010 and also drives its priority word 10010; agent 3
+    // drives 10011. The plain word must drop out, which takes one
+    // settle round; the two priority words alone settle in none.
+    FuturebusAapProtocol protocol(true);
+    ProtocolDriver driver(protocol, 10);
+    driver.post(2, 0, false);
+    driver.post(2, 0, true);
+    driver.post(3, 0, true);
+    protocol.beginPass(0);
+    EXPECT_EQ(protocol.settleRoundsForPass(), 1);
+    EXPECT_EQ(protocol.completePass(0).winner.agent, 3);
+
+    // With its priority request oldest, agent 2 drives only that word.
+    FuturebusAapProtocol priority_first(true);
+    ProtocolDriver other(priority_first, 10);
+    other.post(2, 0, true);
+    other.post(2, 0, false);
+    other.post(3, 0, true);
+    priority_first.beginPass(0);
+    EXPECT_EQ(priority_first.settleRoundsForPass(), 0);
+}
+
 } // namespace
 } // namespace busarb

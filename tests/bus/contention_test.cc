@@ -162,15 +162,10 @@ TEST(SettleTest, TypicalRoundsAreNearHalfK)
     EXPECT_LT(total_rounds / trials, k / 2.0 + 1.0);
 }
 
-TEST(SelectMaxTest, PicksLargestWord)
+TEST(SettleTest, WinnerHoldsTheLargestWord)
 {
-    EXPECT_EQ(selectMax(makeCompetitors({5, 9, 3})), 2);
-    EXPECT_EQ(selectMax(makeCompetitors({7})), 1);
-    EXPECT_EQ(selectMax({}), kNoAgent);
-}
-
-TEST(SelectMaxTest, AgreesWithSettleOnRandomInputs)
-{
+    // The settled lines name the competitor with the maximum word, the
+    // logical outcome the protocols compute from their frozen masks.
     ContentionArbiter arb(12);
     Rng rng(777);
     for (int trial = 0; trial < 300; ++trial) {
@@ -185,14 +180,13 @@ TEST(SelectMaxTest, AgreesWithSettleOnRandomInputs)
             used.push_back(w);
             cs.push_back(Competitor{static_cast<AgentId>(i + 1), w});
         }
-        EXPECT_EQ(selectMax(cs), arb.settle(cs).winner);
+        const auto largest = std::max_element(
+            cs.begin(), cs.end(),
+            [](const Competitor &a, const Competitor &b) {
+                return a.word < b.word;
+            });
+        EXPECT_EQ(arb.settle(cs).winner, largest->agent);
     }
-}
-
-TEST(SelectMaxDeathTest, DuplicateMaximalWordsPanic)
-{
-    std::vector<Competitor> cs{{1, 7}, {2, 7}};
-    EXPECT_DEATH(selectMax(cs), "duplicate arbitration word");
 }
 
 TEST(SettleDeathTest, InvalidInputs)

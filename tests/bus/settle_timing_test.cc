@@ -11,7 +11,6 @@
 #include "baseline/fixed_priority.hh"
 #include "bus/bus.hh"
 #include "core/fcfs.hh"
-#include "core/round_robin.hh"
 #include "experiment/protocol_registry.hh"
 #include "experiment/runner.hh"
 #include "sim/event_queue.hh"
@@ -136,17 +135,25 @@ TEST(SettleTimingTest, FcfsPaysMoreArbitrationTimeThanRr)
 
 TEST(SettleTimingTest, WorstCaseBudgetMatchesLineCount)
 {
-    // RR impl 1 on 10 agents: k = 5 lines -> 4 + ceil(5/2) = 7 rounds.
+    // On 10 agents: RR impl 1 drives 4 identity lines plus its rr bit,
+    // and with priority enabled AAP-1, AAP-2 and fixed priority drive 4
+    // identity lines plus the priority line. k = 5 lines ->
+    // 4 + ceil(5/2) = 7 rounds.
     BusParams params = settleParams();
     params.settleMode = BusParams::SettleMode::kWorstCase;
-    EventQueue queue;
-    Bus bus(queue, std::make_unique<RoundRobinProtocol>(), 10, params);
-    test::ScheduleRecorder recorder;
-    bus.setObserver(&recorder);
-    queue.schedule(0, [&] { bus.postRequest(1); });
-    queue.run();
-    ASSERT_EQ(recorder.grants().size(), 1u);
-    EXPECT_EQ(recorder.grants()[0].start, unitsToTicks(0.05) * 7);
+    for (const char *key :
+         {"rr1", "aap1:priority", "aap2:priority", "fixed:priority"}) {
+        EventQueue queue;
+        Bus bus(queue, ProtocolRegistry::builtin().fromSpec(key)(), 10,
+                params);
+        test::ScheduleRecorder recorder;
+        bus.setObserver(&recorder);
+        queue.schedule(0, [&] { bus.postRequest(1); });
+        queue.run();
+        ASSERT_EQ(recorder.grants().size(), 1u) << key;
+        EXPECT_EQ(recorder.grants()[0].start, unitsToTicks(0.05) * 7)
+            << key;
+    }
 }
 
 TEST(SettleTimingTest, WholeStackStillConservesWork)

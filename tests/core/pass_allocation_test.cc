@@ -2,8 +2,9 @@
  * @file
  * Steady-state arbitration passes must not touch the heap: this binary
  * replaces the global operator new with a counting one and drives
- * rr1, fcfs1, aap1 and aap2 through many passes, with and without the
- * settle-round count the bus engine asks for under settle timing.
+ * every distributed protocol through many passes, with and without the
+ * settle-round count the bus engine asks for under settle timing (the
+ * ticket baseline has no signal-level model, so it runs without).
  */
 
 #include <atomic>
@@ -124,13 +125,29 @@ TEST_P(PassAllocationTest, SteadyStatePassesDoNotAllocate)
     }
 }
 
+std::vector<std::tuple<const char *, bool>>
+protocolCases()
+{
+    std::vector<std::tuple<const char *, bool>> cases;
+    for (const char *spec : {"rr1", "fcfs1", "aap1", "aap2", "fixed",
+                             "fixed:priority", "hybrid", "wrr", "ticket"}) {
+        for (const bool settle : {false, true}) {
+            if (!(settle && std::string(spec) == "ticket"))
+                cases.emplace_back(spec, settle);
+        }
+    }
+    return cases;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ArbitrationProtocols, PassAllocationTest,
-    ::testing::Combine(::testing::Values("rr1", "fcfs1", "aap1", "aap2"),
-                       ::testing::Bool()),
-    [](const auto &info) {
-        return std::string(std::get<0>(info.param)) +
-               (std::get<1>(info.param) ? "_settle" : "_fixed");
+    ::testing::ValuesIn(protocolCases()), [](const auto &info) {
+        std::string name = std::get<0>(info.param);
+        for (char &ch : name) {
+            if (ch == ':')
+                ch = '_';
+        }
+        return name + (std::get<1>(info.param) ? "_settle" : "_fixed");
     });
 
 } // namespace

@@ -95,8 +95,9 @@ TEST(PendingRequestsTest, ForEachAgentOldestVisitsFronts)
     p.add(makeReq(2, 2));
     p.add(makeReq(3, 3));
     std::vector<std::uint64_t> seqs;
-    p.forEachAgentOldest(
-        [&](const PendingEntry &e) { seqs.push_back(e.req.seq); });
+    p.forEachOldestIn(p.requestMask(), [&](const PendingEntry &e) {
+        seqs.push_back(e.req.seq);
+    });
     EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 3}));
 }
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,6 +213,53 @@ TEST(BinaryTrace, RejectsMalformedInput)
     std::vector<std::uint8_t> bad_tag = good;
     bad_tag[bad_tag.size() - 1] = 200;
     EXPECT_THROW(readTraceChunks(bad_tag), std::runtime_error);
+}
+
+/** @return The reader's error for `bytes`, or "" if it decodes. */
+std::string
+readError(const std::vector<std::uint8_t> &bytes)
+{
+    try {
+        readTraceChunks(bytes);
+    } catch (const std::runtime_error &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(BinaryTrace, RejectsAgentOutsideChunkNamingChunkAndEvent)
+{
+    // A flipped byte can make an event name an agent the chunk does
+    // not have; the fairness auditor indexes per-agent state by it, so
+    // the reader must refuse the trace instead.
+    BinaryTraceWriter first(5, "rr1");
+    first.consume(requestEvent(makeRequest(5, 10, 1)));
+    std::vector<std::uint8_t> bytes = first.finish();
+    BinaryTraceWriter second(5, "rr1");
+    second.consume(requestEvent(makeRequest(3, 10, 1)));
+    second.consume(requestEvent(makeRequest(77, 20, 2)));
+    const std::vector<std::uint8_t> tail = second.finish();
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+    const std::string error = readError(bytes);
+    EXPECT_NE(error.find("chunk 1 event 1"), std::string::npos) << error;
+    EXPECT_NE(error.find("agent 77"), std::string::npos) << error;
+
+    // Every record kind that names an agent is checked, agent 0 too.
+    const auto single = [](const TraceEvent &event) {
+        BinaryTraceWriter writer(4, "p");
+        writer.consume(event);
+        return writer.finish();
+    };
+    EXPECT_NE(readError(single(requestEvent(makeRequest(0, 5, 1)))), "");
+    EXPECT_NE(readError(single(passResolveEvent(
+                  9, 5, makeRequest(5, 5, 1), false))),
+              "");
+    EXPECT_NE(readError(single(tenureStartEvent(makeRequest(9, 5, 1), 9))),
+              "");
+    EXPECT_NE(readError(single(tenureEndEvent(makeRequest(6, 5, 1), 9))),
+              "");
+    EXPECT_EQ(readError(single(tenureEndEvent(makeRequest(4, 5, 1), 9))),
+              "");
 }
 
 TEST(BinaryTraceDeathTest, BackwardsTimePanics)
